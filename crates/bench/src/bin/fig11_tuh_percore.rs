@@ -6,8 +6,9 @@
 //! benchmarks show order-of-magnitude core-to-core spread.
 
 use hotgauge_bench::cli::{sweep_ticker, BinArgs};
-use hotgauge_core::experiments::{fig11_fold, fig11_tuh_per_benchmark_with, tuh_grid};
+use hotgauge_core::experiments::{fig11_fold, tuh_grid};
 use hotgauge_core::report::{fmt_tuh, TextTable};
+use hotgauge_core::run_many_batched_with;
 use hotgauge_core::series::BoxStats;
 use hotgauge_floorplan::tech::TechNode;
 use hotgauge_thermal::warmup::Warmup;
@@ -24,38 +25,45 @@ fn main() {
     let args = BinArgs::parse("fig11_tuh_percore");
     let fid = args.fidelity();
     let cores: Vec<usize> = (0..7).collect();
-    args.note_sweep(ALL_BENCHMARKS.len() * cores.len(), fid.threads);
+    let warmups = [Warmup::Cold, Warmup::Idle];
+    // Both warm-up grids run as one sweep, so the executor can batch each
+    // (benchmark, core) pair's Cold and Idle runs together and warm their
+    // shared workload stream once.
+    let grid: Vec<_> = warmups
+        .iter()
+        .flat_map(|&w| tuh_grid(&fid, TechNode::N7, w, &ALL_BENCHMARKS, &cores))
+        .collect();
+    let per_warmup = ALL_BENCHMARKS.len() * cores.len();
+    args.note_sweep(grid.len(), fid.threads);
     let mut store = args.open_store();
     let delta = args.delta_basis();
+    let printer = args.sweep_progress(grid.len() as u64);
+    let on_done = sweep_ticker(&printer);
+    // With --store the grid runs through the store-aware executor
+    // (bit-identical results, unchanged runs served from disk); without it,
+    // through the classic driver.
+    let results = match store.as_mut() {
+        Some(store) => {
+            let outcome = hotgauge_store::run_many_stored_with(
+                grid,
+                fid.threads,
+                fid.batch,
+                store,
+                delta.as_ref(),
+                Some(&on_done),
+            )
+            .unwrap_or_else(|e| {
+                eprintln!("error: store sweep failed: {e}");
+                std::process::exit(1);
+            });
+            args.note_store(outcome.stats);
+            outcome.results
+        }
+        None => run_many_batched_with(grid, fid.threads, fid.batch, Some(&on_done)),
+    };
     let mut json_rows = Vec::new();
-    for warmup in [Warmup::Cold, Warmup::Idle] {
-        let printer = args.sweep_progress((ALL_BENCHMARKS.len() * cores.len()) as u64);
-        let on_done = sweep_ticker(&printer);
-        // With --store the same grid runs through the store-aware executor
-        // (bit-identical results, unchanged runs served from disk); without
-        // it, through the classic driver.
-        let rows = match store.as_mut() {
-            Some(store) => {
-                let grid = tuh_grid(&fid, TechNode::N7, warmup, &ALL_BENCHMARKS, &cores);
-                let outcome = hotgauge_store::run_many_stored_with(
-                    grid,
-                    fid.threads,
-                    fid.batch,
-                    store,
-                    delta.as_ref(),
-                    Some(&on_done),
-                )
-                .unwrap_or_else(|e| {
-                    eprintln!("error: store sweep failed: {e}");
-                    std::process::exit(1);
-                });
-                args.note_store(outcome.stats);
-                fig11_fold(&outcome.results, &ALL_BENCHMARKS, &cores)
-            }
-            None => {
-                fig11_tuh_per_benchmark_with(&fid, warmup, &ALL_BENCHMARKS, &cores, Some(&on_done))
-            }
-        };
+    for (&warmup, results) in warmups.iter().zip(results.chunks(per_warmup)) {
+        let rows = fig11_fold(results, &ALL_BENCHMARKS, &cores);
         for (bench, tuhs) in &rows {
             json_rows.push(TuhRow {
                 warmup: warmup.label().to_owned(),

@@ -331,6 +331,47 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// The checks construction runs before building any model, so a bad config
+/// is rejected before the core warm-up is paid for it.
+fn check_config(cfg: &SimConfig) -> Result<(), ConfigError> {
+    if cfg.target_core >= 7 {
+        return Err(ConfigError::TargetCoreOutOfRange(cfg.target_core));
+    }
+    if cfg.substeps < 1 {
+        return Err(ConfigError::ZeroSubsteps);
+    }
+    if benchmark_profile(&cfg.benchmark).is_none() {
+        return Err(ConfigError::UnknownBenchmark(cfg.benchmark.clone()));
+    }
+    Ok(())
+}
+
+/// The seed of a run's workload stream: `cfg.seed` decorrelated by target
+/// core and node. Together with the benchmark it determines the warmed core
+/// of [`warm_core`] completely, so the sweep groups jobs by it (see
+/// [`crate::sweep`]); the idle background stream derives from it too.
+pub(crate) fn stream_seed(cfg: &SimConfig) -> u64 {
+    cfg.seed ^ (cfg.target_core as u64) << 32 ^ (cfg.node.generations_from_14() as u64) << 40
+}
+
+/// Core warm-up before the region of interest, as in the paper.
+const CORE_WARMUP_INSTRS: u64 = 2_000_000;
+
+/// Builds a run's workload stream and core and warms them up before the
+/// ROI. The result is a pure function of the benchmark and
+/// [`stream_seed`] — the core and memory configs are constants — so runs
+/// of one stream may share a clone of it.
+pub(crate) fn warm_core(cfg: &SimConfig) -> Result<(CoreSim, WorkloadGen), ConfigError> {
+    check_config(cfg)?;
+    let profile = benchmark_profile(&cfg.benchmark)
+        .ok_or_else(|| ConfigError::UnknownBenchmark(cfg.benchmark.clone()))?;
+    let mut gen = WorkloadGen::new(profile, stream_seed(cfg));
+    let mut core = CoreSim::new(CoreConfig::default(), MemoryConfig::default());
+    core.warm_up(&mut gen, CORE_WARMUP_INSTRS);
+    counter!("core.warmups", 1);
+    Ok((core, gen))
+}
+
 /// The assembled co-simulation state. `Clone` so construction (floorplan,
 /// power model, warm-up, solver factorization) can be paid once and the
 /// stepping loop repeated from the same initial state — benches and sweeps
@@ -377,31 +418,28 @@ impl CoSimulation {
     /// returning a typed [`ConfigError`] on user-reachable misconfiguration
     /// instead of panicking.
     pub fn try_new(cfg: SimConfig) -> Result<Self, ConfigError> {
-        Self::try_new_reusing(cfg, None)
+        let warm = warm_core(&cfg)?;
+        Self::try_new_reusing(cfg, None, warm)
     }
 
-    /// [`CoSimulation::try_new`], optionally recycling the geometry-keyed
-    /// model parts of a previous same-geometry run (see [`crate::sweep`]).
+    /// [`CoSimulation::try_new`] from an already-warmed workload stream
+    /// (see [`warm_core`]), optionally recycling the geometry-keyed model
+    /// parts of a previous same-geometry run (see [`crate::sweep`]).
     ///
     /// With `geom: Some(..)` the floorplan, rasterized grids, power model,
     /// and prepared thermal solver are adopted instead of rebuilt; the
     /// thermal *state* is reset to exactly the fresh-construction initial
     /// condition, so the run is bit-identical to one built from scratch.
     /// The caller must only pass parts produced under the same
-    /// [`crate::sweep::geom_key`].
+    /// [`crate::sweep::geom_key`], and a `warm` core produced by
+    /// [`warm_core`] for a config with the same [`stream_seed`] and
+    /// benchmark (or a clone of one).
     pub(crate) fn try_new_reusing(
         cfg: SimConfig,
         geom: Option<GeomParts>,
+        warm: (CoreSim, WorkloadGen),
     ) -> Result<Self, ConfigError> {
-        if cfg.target_core >= 7 {
-            return Err(ConfigError::TargetCoreOutOfRange(cfg.target_core));
-        }
-        if cfg.substeps < 1 {
-            return Err(ConfigError::ZeroSubsteps);
-        }
-        if benchmark_profile(&cfg.benchmark).is_none() {
-            return Err(ConfigError::UnknownBenchmark(cfg.benchmark.clone()));
-        }
+        check_config(&cfg)?;
 
         let (fp, grid, grid_peaked, power, recycled_thermal) = match geom {
             Some(parts) => (
@@ -441,20 +479,9 @@ impl CoSimulation {
             }
         }
 
-        // Workload stream + core, warmed up before the ROI as in the paper.
-        // Never recycled: the stream depends on benchmark and seed.
-        let profile = benchmark_profile(&cfg.benchmark)
-            // hotgauge-lint: allow(L001, "benchmark name validated at the top of try_new_reusing; a miss here is a bug, not user input")
-            .unwrap_or_else(|| panic!("unknown benchmark {}", cfg.benchmark));
-        let seed = cfg.seed
-            ^ (cfg.target_core as u64) << 32
-            ^ (cfg.node.generations_from_14() as u64) << 40;
-        let mut gen = WorkloadGen::new(profile, seed);
-        let mut core = CoreSim::new(CoreConfig::default(), MemoryConfig::default());
-        core.warm_up(&mut gen, 2_000_000);
-
+        let (core, gen) = warm;
         // A representative idle window for the background cores.
-        let idle_act = idle_activity_cached(seed ^ 0xDEAD_BEEF);
+        let idle_act = idle_activity_cached(stream_seed(&cfg) ^ 0xDEAD_BEEF);
 
         // Thermal initial condition. A recycled solver keeps its prepared
         // system (the backward-Euler matrix and Cholesky factor / CG
@@ -536,6 +563,13 @@ impl CoSimulation {
             power: self.power.clone(),
             thermal: self.thermal.clone(),
         }
+    }
+
+    /// Clones this simulation's warmed workload stream as it stood after
+    /// construction, so a lockstep batch mate of the same stream can skip
+    /// [`warm_core`]. Only meaningful before the run starts consuming it.
+    pub(crate) fn clone_warm_core(&self) -> (CoreSim, WorkloadGen) {
+        (self.core.clone(), self.gen.clone())
     }
 
     /// The transient thermal simulation.
@@ -1505,9 +1539,6 @@ fn accumulate_deltas(
     }
 }
 
-/// Idle warm-up states are identical for every run that shares a floorplan,
-/// grid resolution, and border — and a TUH sweep launches hundreds of such
-/// runs. Cache them process-wide.
 /// The background-core activity window for one idle stream, memoized
 /// process-wide.
 ///
@@ -1535,6 +1566,15 @@ fn idle_activity_cached(seed: u64) -> ActivityCounters {
     act
 }
 
+/// The idle warm-up state of a run, memoized process-wide: a TUH sweep
+/// launches hundreds of idle-warmed runs per floorplan.
+///
+/// The key is the floorplan name, grid resolution, and border only. It
+/// omits the idle stream: `idle_act` depends on the seed, target core, and
+/// node through [`stream_seed`], yet runs that differ only there share one
+/// entry, and whichever computes it first fills it. So the memoized state
+/// is *not* the run's own for every other idle stream, and a result can
+/// depend on which runs came earlier in the process (ROADMAP item 1).
 fn warmup_state_cached(
     cfg: &SimConfig,
     fp: &Floorplan,

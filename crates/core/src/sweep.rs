@@ -19,6 +19,17 @@
 //! for the whole batch. Leftover chunks of one job — stragglers of a group,
 //! or geometries that appear only once — take the classic per-run path.
 //!
+//! Inside a geometry group, jobs are first grouped by **workload stream**
+//! (benchmark plus derived stream seed, first-seen order) and only then
+//! chunked, so the runs of one stream — e.g. the Cold and Idle runs of a
+//! Fig. 11 (benchmark, core) pair — land in one batch. A batch runs the
+//! 2 M-instruction core warm-up once per distinct stream; later lanes of
+//! the stream clone the warmed core, as batch mates already clone lane 0's
+//! geometry parts. Sharing never crosses a batch: `--batch 1`, singleton
+//! items, a stream cut by a chunk boundary, and same-stream jobs in
+//! different geometry groups warm their own cores, so a clone only ever
+//! occupies a lane that would have held its own core (peak RSS is flat).
+//!
 //! Results are **order-preserving and bit-identical** to running each
 //! config through [`crate::pipeline::run_sim`] serially (with the sweep's
 //! serial-forcing rule applied to `AnalysisConfig`): the scheduler only
@@ -30,6 +41,8 @@
 //! Telemetry: `sweep.jobs` / `sweep.completions` count scheduled and
 //! finished runs (always equal), `sweep.steal` counts cross-worker steals
 //! (≤ work items), `sweep.arena_reuse` counts geometry-cache hits,
+//! `sweep.warm_core_shared` counts lanes built from a cloned warmed core
+//! (with the pipeline's `core.warmups` they sum to the jobs),
 //! `sweep.queue_depth` samples the injector backlog at each chunk grab,
 //! `sweep.donations` counts workers that retired from the all-empty scan
 //! and donated their thread to the in-flight runs' triangular-solve shards,
@@ -47,7 +60,8 @@ use hotgauge_thermal::MAX_LOCKSTEP_WIDTH;
 
 use crate::analysis::FrameAnalyzer;
 use crate::pipeline::{
-    run_batch_with_analyzers, CoSimulation, GeomParts, RunResult, SimConfig, SweepProgress,
+    run_batch_with_analyzers, stream_seed, warm_core, CoSimulation, GeomParts, RunResult,
+    SimConfig, SweepProgress,
 };
 
 /// Geometry entries an arena keeps before evicting the oldest. Sweeps cycle
@@ -153,6 +167,13 @@ pub(crate) fn geom_key(cfg: &SimConfig) -> String {
     key
 }
 
+/// The workload stream of a config: its benchmark and derived stream seed.
+/// Equal keys warm bit-identical cores (see [`warm_core`]), so the sweep
+/// groups them into one lockstep batch and warms them once.
+fn stream_key(cfg: &SimConfig) -> (&str, u64) {
+    (&cfg.benchmark, stream_seed(cfg))
+}
+
 /// [`crate::pipeline::run_sim`] executing inside an arena: same-geometry
 /// model parts and the frame analyzer are recycled from (and returned to)
 /// `arena`. Bit-identical to `run_sim(cfg)` for any arena state.
@@ -169,7 +190,8 @@ pub fn run_sim_in(cfg: SimConfig, arena: &mut SweepArena) -> RunResult {
     if geom.is_some() {
         counter!("sweep.arena_reuse", 1);
     }
-    let mut sim = CoSimulation::try_new_reusing(cfg, geom)
+    let mut sim = warm_core(&cfg)
+        .and_then(|warm| CoSimulation::try_new_reusing(cfg, geom, warm))
         // hotgauge-lint: allow(L001, "programmatic entry point mirroring run_sim/CoSimulation::new; user-input paths validate through try_new and exit 2")
         .unwrap_or_else(|e| panic!("invalid simulation config: {e}"));
     sim.thermal_mut().set_donated_workers(arena.donated.clone());
@@ -187,6 +209,8 @@ pub fn run_sim_in(cfg: SimConfig, arena: &mut SweepArena) -> RunResult {
 /// arena: lane 0 recycles the arena's cached geometry (or builds it), the
 /// remaining lanes clone lane 0's parts — sharing the prepared backward-Euler
 /// matrix — and all lanes advance through the multi-RHS solver together.
+/// The core warm-up runs once per distinct [`stream_key`] in the batch;
+/// later lanes of a stream clone the first lane's warmed core.
 /// Each result is bit-identical to `run_sim` of that configuration.
 /// `on_lane_done` fires with the lane index as each lane finishes.
 ///
@@ -221,7 +245,19 @@ pub fn run_batch_in(
                 g
             }
         };
-        let mut sim = CoSimulation::try_new_reusing(cfg, geom)
+        // Lanes of a stream already in the batch clone its warmed core
+        // instead of repeating the warm-up: the warmed core is a pure
+        // function of the stream key, and no lane has run yet.
+        let stream = stream_key(&cfg);
+        let warm = match lanes.iter().find(|l| stream_key(l.config()) == stream) {
+            Some(mate) => {
+                counter!("sweep.warm_core_shared", 1);
+                Ok(mate.clone_warm_core())
+            }
+            None => warm_core(&cfg),
+        };
+        let mut sim = warm
+            .and_then(|warm| CoSimulation::try_new_reusing(cfg, geom, warm))
             // hotgauge-lint: allow(L001, "programmatic entry point mirroring run_sim/CoSimulation::new; user-input paths validate through try_new and exit 2")
             .unwrap_or_else(|e| panic!("invalid simulation config: {e}"));
         sim.thermal_mut().set_donated_workers(arena.donated.clone());
@@ -307,8 +343,9 @@ pub fn run_many_with(
 }
 
 /// [`run_many_with`] with an explicit lockstep batch width: same-[`geom_key`]
-/// jobs are grouped (first-seen key order) and solved up to `batch` at a
-/// time through [`run_batch_in`]; `batch <= 1` disables batching and runs
+/// jobs are grouped (first-seen key order), ordered by workload stream
+/// within the group, and solved up to `batch` at a time through
+/// [`run_batch_in`]; `batch <= 1` disables batching and runs
 /// every job through the classic per-run path. The width is clamped to
 /// [`MAX_LOCKSTEP_WIDTH`]. The batch width never changes any result — only
 /// how many runs share each thermal solve.
@@ -334,29 +371,7 @@ pub fn run_many_batched_with(
     let force_serial = requested > 1;
     let batch = batch.clamp(1, MAX_LOCKSTEP_WIDTH);
 
-    // The pool's work items: index batches of same-geometry jobs (chunks of
-    // singleton geometries degrade to the per-run path). With `batch == 1`
-    // every job is its own item, in input order — the classic executor.
-    let items: Vec<Vec<usize>> = if batch == 1 {
-        (0..n).map(|i| vec![i]).collect()
-    } else {
-        let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
-        for (i, c) in cfgs.iter().enumerate() {
-            let key = geom_key(c);
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((key, vec![i])),
-            }
-        }
-        groups
-            .into_iter()
-            .flat_map(|(_, idxs)| {
-                idxs.chunks(batch)
-                    .map(<[usize]>::to_vec)
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    };
+    let items = work_items(&cfgs, batch);
     // Workers are additionally capped at the item count — a worker without
     // a work item would only ever contribute idle arena scratch to peak RSS.
     let workers = pool_workers(threads, n).min(items.len()).max(1);
@@ -470,6 +485,42 @@ pub fn run_many_batched_with(
         // hotgauge-lint: allow(L001, "every work item is claimed by exactly one worker before the scope joins, so every slot is Some; a worker panic already propagated at scope exit")
         .map(|r| r.expect("every run completed"))
         .collect()
+}
+
+/// The pool's work items for a sweep at lockstep width `batch`: index
+/// batches of same-[`geom_key`] jobs. Jobs group by geometry (first-seen
+/// order), then within a geometry by [`stream_key`] (first-seen order), and
+/// only then chunk into batches of up to `batch`, so the runs of one stream
+/// are adjacent and share a batch — and its core warm-up — unless a chunk
+/// boundary cuts them; a cut stream warms once per chunk. Chunks of one job
+/// take the per-run path. With `batch == 1` every job is its own item, in input
+/// order — the classic executor.
+fn work_items(cfgs: &[SimConfig], batch: usize) -> Vec<Vec<usize>> {
+    if batch == 1 {
+        return (0..cfgs.len()).map(|i| vec![i]).collect();
+    }
+    let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
+    for (i, c) in cfgs.iter().enumerate() {
+        let key = geom_key(c);
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, idxs)) => idxs.push(i),
+            None => groups.push((key, vec![i])),
+        }
+    }
+    let mut items = Vec::new();
+    for (_, idxs) in groups {
+        let mut streams: Vec<((&str, u64), Vec<usize>)> = Vec::new();
+        for i in idxs {
+            let key = stream_key(&cfgs[i]);
+            match streams.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, same)) => same.push(i),
+                None => streams.push((key, vec![i])),
+            }
+        }
+        let ordered: Vec<usize> = streams.into_iter().flat_map(|(_, same)| same).collect();
+        items.extend(ordered.chunks(batch).map(<[usize]>::to_vec));
+    }
+    items
 }
 
 /// Claims the next job for worker `me`: own deque first, then a chunk from
@@ -625,6 +676,76 @@ mod tests {
         let mut d = quick_cfg("hmmer");
         d.substeps = 2;
         assert_ne!(geom_key(&a), geom_key(&d));
+    }
+
+    #[test]
+    fn work_items_group_streams_inside_geometry_groups() {
+        // Two geometries; streams differ by benchmark, seed, or target core
+        // (part of the stream seed). Fields that only shape the run — warm-up,
+        // stop mode, horizon, sample size — do not split a stream.
+        let job = |bench: &str, seed: u64, core: usize, cell_um: f64| {
+            let mut c = quick_cfg(bench);
+            c.seed = seed;
+            c.target_core = core;
+            c.cell_um = cell_um;
+            c
+        };
+        let mut cfgs = vec![
+            job("hmmer", 1, 0, 300.0), // 0: stream A
+            job("gcc", 1, 0, 300.0),   // 1: stream B
+            job("hmmer", 1, 1, 300.0), // 2: stream C (other core)
+            job("hmmer", 1, 0, 360.0), // 3: stream A, other geometry
+            job("hmmer", 1, 0, 300.0), // 4: stream A
+            job("gcc", 1, 0, 300.0),   // 5: stream B
+            job("hmmer", 2, 0, 300.0), // 6: stream D (other seed)
+            job("hmmer", 1, 0, 300.0), // 7: stream A
+        ];
+        cfgs[4].warmup = Warmup::Idle;
+        cfgs[5].stop_at_first_hotspot = true;
+        cfgs[7].max_time_s = 2e-4;
+        cfgs[7].sample_instrs = 4_000;
+        let flat = |items: &[Vec<usize>]| -> Vec<usize> { items.concat() };
+
+        // Every job exactly once; every item within one geometry group; and
+        // the jobs of a stream are adjacent, so only a chunk boundary can
+        // separate them.
+        for batch in [2, 3, 8] {
+            let items = work_items(&cfgs, batch);
+            let order = flat(&items);
+            let mut all = order.clone();
+            all.sort_unstable();
+            assert_eq!(all, (0..cfgs.len()).collect::<Vec<_>>());
+            for item in &items {
+                assert!(item.len() <= batch);
+                assert!(item
+                    .iter()
+                    .all(|&i| geom_key(&cfgs[i]) == geom_key(&cfgs[item[0]])));
+            }
+            for (k, &i) in order.iter().enumerate() {
+                let same = |&j: &usize| {
+                    stream_key(&cfgs[j]) == stream_key(&cfgs[i])
+                        && geom_key(&cfgs[j]) == geom_key(&cfgs[i])
+                };
+                let last = order.iter().rposition(same).unwrap();
+                assert!(order[k..=last].iter().all(same), "stream of job {i} split");
+            }
+        }
+        // Wide enough: each stream sits in one item, first-seen order.
+        assert_eq!(
+            work_items(&cfgs, 8),
+            vec![vec![0, 4, 7, 1, 5, 2, 6], vec![3]]
+        );
+        // Width 2: A's three jobs are cut by a chunk boundary, which shifts
+        // B across the next one; chunking never reorders to avoid a cut.
+        assert_eq!(
+            work_items(&cfgs, 2),
+            vec![vec![0, 4], vec![7, 1], vec![5, 2], vec![6], vec![3]]
+        );
+        // Width 1 is the classic per-job executor, in input order.
+        assert_eq!(
+            flat(&work_items(&cfgs, 1)),
+            (0..cfgs.len()).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -436,10 +436,69 @@ fn lockstep_stop_prefilter_and_fallback_lanes_match_serial() {
     }
 }
 
+/// Jobs of one workload stream (same benchmark, seed, target core, and
+/// node) share one core warm-up inside a lockstep batch; the clones must
+/// not leak into results. Each stream appears 2-3 times, the copies
+/// differing in warm-up (Cold vs Idle), stop mode, horizon, and sample
+/// size — fields that shape the run but not the warmed core. At batch 2
+/// the three-job streams are cut by a chunk boundary; at batch 1 nothing is
+/// shared. Every row must equal its own serial `run_sim`.
+#[test]
+fn stream_sharers_match_serial_reference_at_all_widths() {
+    let _g = lock();
+    let mut cfgs = Vec::new();
+    for (bench, seed, core, copies) in [
+        ("hmmer", 5, 0, 3),
+        ("gcc", 5, 0, 2),
+        ("hmmer", 5, 1, 2),
+        ("server_kv", 6, 2, 3),
+    ] {
+        for copy in 0..copies {
+            let mut c = base_cfg(bench);
+            c.seed = seed;
+            c.target_core = core;
+            match copy {
+                0 => {}
+                1 => {
+                    c.warmup = Warmup::Idle;
+                    c.stop_at_first_hotspot = true;
+                }
+                _ => {
+                    c.max_time_s = 3e-4;
+                    c.sample_instrs = 4_000;
+                }
+            }
+            cfgs.push(c);
+        }
+    }
+    // Interleave the streams so the grouper has to gather them.
+    cfgs.sort_by_key(|c| (c.warmup == Warmup::Idle, c.max_time_s.to_bits()));
+    let want: Vec<RunResult> = cfgs.iter().cloned().map(run_sim).collect();
+    let want_serial: Vec<RunResult> = cfgs
+        .iter()
+        .map(|c| {
+            let mut c = c.clone();
+            c.analysis = c.analysis.serial();
+            run_sim(c)
+        })
+        .collect();
+    for batch in [1usize, 2, 8] {
+        for threads in [1usize, 2] {
+            let got = run_many_batched_with(cfgs.clone(), threads, batch, None);
+            let want = if threads == 1 { &want } else { &want_serial };
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(want) {
+                assert_same_run(g, w);
+            }
+        }
+    }
+}
+
 /// Executor telemetry is self-consistent: every scheduled job completes
 /// exactly once, steals never exceed work items, lockstep batches account
-/// for every run they carry, and same-geometry batches reuse arenas for
-/// all but each worker's first item.
+/// for every run they carry, same-geometry batches reuse arenas for all but
+/// each worker's first item, and every run either warms its core or clones
+/// a batch mate's — one warm-up per (stream, work item) pair.
 // hotgauge-lint: allow(L002, "this test reads the recorder's snapshot API directly, which only exists under the feature; the facade macros cannot gate a whole #[test] fn")
 #[cfg(feature = "telemetry")]
 #[test]
@@ -452,14 +511,22 @@ fn executor_telemetry_counters_are_consistent() {
     // width-2 batch items; the realized pool is capped by hardware, items,
     // and the requested width exactly as the executor computes it.
     const ITEMS: usize = JOBS / BATCH;
+    // Two workload streams of three jobs each, already contiguous, so the
+    // items are [0, 1], [2, 3], [4, 5] and the middle one holds both.
+    let stream = |i: usize| i / 3;
     let workers = hotgauge_core::pool_workers(WIDTH, JOBS).clamp(1, ITEMS);
     let cfgs: Vec<SimConfig> = (0..JOBS)
         .map(|i| {
             let mut c = base_cfg("hmmer");
-            c.seed = i as u64;
+            c.seed = stream(i) as u64;
+            if i % 2 == 1 {
+                c.warmup = Warmup::Idle;
+            }
             c
         })
         .collect();
+    let stream_items: std::collections::BTreeSet<(usize, usize)> =
+        (0..JOBS).map(|i| (stream(i), i / BATCH)).collect();
     let before = hotgauge_telemetry::snapshot();
     let rs = run_many_batched_with(cfgs, WIDTH, BATCH, None);
     let after = hotgauge_telemetry::snapshot();
@@ -475,6 +542,11 @@ fn executor_telemetry_counters_are_consistent() {
     // run count (three full width-2 batches).
     assert_eq!(delta("solver.lockstep_runs"), JOBS as f64);
     assert_eq!(delta("solver.batch_width"), JOBS as f64);
+    // Each run warms its core or clones a batch mate's, never both; the
+    // warm-ups are exactly the distinct (stream, work item) pairs (4 here).
+    let warmups = delta("core.warmups");
+    assert_eq!(warmups + delta("sweep.warm_core_shared"), JOBS as f64);
+    assert_eq!(warmups, stream_items.len() as f64);
     let steals = delta("sweep.steal");
     assert!(
         (0.0..=ITEMS as f64).contains(&steals),
