@@ -45,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
+mod activity_trace;
 pub mod analysis;
 pub mod detect;
 pub mod experiments;

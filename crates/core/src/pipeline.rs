@@ -24,8 +24,7 @@ use hotgauge_floorplan::skylake::SkylakeProxy;
 use hotgauge_floorplan::tech::TechNode;
 use hotgauge_floorplan::unit::UnitKind;
 use hotgauge_perf::activity::ActivityCounters;
-use hotgauge_perf::config::{CoreConfig, MemoryConfig};
-use hotgauge_perf::engine::CoreSim;
+use hotgauge_perf::config::CoreConfig;
 use hotgauge_power::model::{CoreWindow, PowerModel, PowerParams};
 use hotgauge_thermal::frame::ThermalFrame;
 use hotgauge_thermal::model::{
@@ -35,9 +34,9 @@ use hotgauge_thermal::stack::StackDescription;
 use hotgauge_thermal::warmup::Warmup;
 use hotgauge_thermal::MAX_LOCKSTEP_WIDTH;
 use hotgauge_workloads::benchmark_profile;
-use hotgauge_workloads::generator::WorkloadGen;
-use hotgauge_workloads::idle::{idle_profile, IDLE_DUTY_CYCLE, IDLE_WARMUP_DURATION_S};
+use hotgauge_workloads::idle::{IDLE_DUTY_CYCLE, IDLE_WARMUP_DURATION_S};
 
+use crate::activity_trace::{TraceCursor, TraceKey, TraceSet};
 use crate::analysis::{AnalysisConfig, FrameAnalyzer};
 use crate::detect::HotspotParams;
 use crate::locations::HotspotCensus;
@@ -293,7 +292,9 @@ pub fn run_many_with(
 
 /// A rejected [`SimConfig`]. These are the user-input-reachable failure
 /// modes (CLI flags, sweep manifests); bench bins map them to exit code 2.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Each numeric check rejects a value the models would otherwise turn into
+/// a panic or a meaningless (NaN or empty) run.
+#[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// The benchmark name is not `idle`, a known SPEC2006 proxy, or a
     /// server-trace workload.
@@ -304,6 +305,18 @@ pub enum ConfigError {
     ZeroSubsteps,
     /// A `track_units` entry does not name a floorplan unit.
     UnknownTrackedUnit(String),
+    /// `max_time_s` must be finite and positive.
+    InvalidHorizon(f64),
+    /// `cell_um` must be finite and positive.
+    InvalidCellSize(f64),
+    /// `border_mm` must be finite and non-negative.
+    InvalidBorder(f64),
+    /// `ic_area_factor` must be finite and at least 1.
+    InvalidIcAreaFactor(f64),
+    /// A `unit_scales` factor must be finite and positive.
+    InvalidUnitScale(UnitKind, f64),
+    /// `sample_instrs` must be at least 1.
+    ZeroSampleInstrs,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -325,6 +338,22 @@ impl std::fmt::Display for ConfigError {
             ConfigError::UnknownTrackedUnit(name) => {
                 write!(f, "tracked unit `{name}` is not a floorplan unit")
             }
+            ConfigError::InvalidHorizon(s) => {
+                write!(f, "horizon {s} s must be finite and > 0")
+            }
+            ConfigError::InvalidCellSize(um) => {
+                write!(f, "cell size {um} um must be finite and > 0")
+            }
+            ConfigError::InvalidBorder(mm) => {
+                write!(f, "border {mm} mm must be finite and >= 0")
+            }
+            ConfigError::InvalidIcAreaFactor(x) => {
+                write!(f, "IC area factor {x} must be finite and >= 1")
+            }
+            ConfigError::InvalidUnitScale(kind, x) => {
+                write!(f, "scale factor {x} of {kind:?} must be finite and > 0")
+            }
+            ConfigError::ZeroSampleInstrs => write!(f, "sample_instrs must be >= 1"),
         }
     }
 }
@@ -332,8 +361,10 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// The checks construction runs before building any model, so a bad config
-/// is rejected before the core warm-up is paid for it.
-fn check_config(cfg: &SimConfig) -> Result<(), ConfigError> {
+/// is rejected before any model work is paid for it. Front ends that hand
+/// configs to the sweep executor, which panics on a bad config, call it
+/// first. `track_units` is checked against the floorplan at construction.
+pub fn check_config(cfg: &SimConfig) -> Result<(), ConfigError> {
     if cfg.target_core >= 7 {
         return Err(ConfigError::TargetCoreOutOfRange(cfg.target_core));
     }
@@ -343,39 +374,42 @@ fn check_config(cfg: &SimConfig) -> Result<(), ConfigError> {
     if benchmark_profile(&cfg.benchmark).is_none() {
         return Err(ConfigError::UnknownBenchmark(cfg.benchmark.clone()));
     }
+    if !(cfg.max_time_s.is_finite() && cfg.max_time_s > 0.0) {
+        return Err(ConfigError::InvalidHorizon(cfg.max_time_s));
+    }
+    if !(cfg.cell_um.is_finite() && cfg.cell_um > 0.0) {
+        return Err(ConfigError::InvalidCellSize(cfg.cell_um));
+    }
+    if !(cfg.border_mm.is_finite() && cfg.border_mm >= 0.0) {
+        return Err(ConfigError::InvalidBorder(cfg.border_mm));
+    }
+    if !(cfg.ic_area_factor.is_finite() && cfg.ic_area_factor >= 1.0) {
+        return Err(ConfigError::InvalidIcAreaFactor(cfg.ic_area_factor));
+    }
+    for &(kind, factor) in &cfg.unit_scales {
+        if !(factor.is_finite() && factor > 0.0) {
+            return Err(ConfigError::InvalidUnitScale(kind, factor));
+        }
+    }
+    if cfg.sample_instrs < 1 {
+        return Err(ConfigError::ZeroSampleInstrs);
+    }
     Ok(())
 }
 
 /// The seed of a run's workload stream: `cfg.seed` decorrelated by target
-/// core and node. Together with the benchmark it determines the warmed core
-/// of [`warm_core`] completely, so the sweep groups jobs by it (see
-/// [`crate::sweep`]); the idle background stream derives from it too.
+/// core and node. With the benchmark and `sample_instrs` it determines the
+/// run's activity trace (see [`crate::activity_trace::TraceKey`]); the idle
+/// background stream derives from it too.
 pub(crate) fn stream_seed(cfg: &SimConfig) -> u64 {
     cfg.seed ^ (cfg.target_core as u64) << 32 ^ (cfg.node.generations_from_14() as u64) << 40
-}
-
-/// Core warm-up before the region of interest, as in the paper.
-const CORE_WARMUP_INSTRS: u64 = 2_000_000;
-
-/// Builds a run's workload stream and core and warms them up before the
-/// ROI. The result is a pure function of the benchmark and
-/// [`stream_seed`] — the core and memory configs are constants — so runs
-/// of one stream may share a clone of it.
-pub(crate) fn warm_core(cfg: &SimConfig) -> Result<(CoreSim, WorkloadGen), ConfigError> {
-    check_config(cfg)?;
-    let profile = benchmark_profile(&cfg.benchmark)
-        .ok_or_else(|| ConfigError::UnknownBenchmark(cfg.benchmark.clone()))?;
-    let mut gen = WorkloadGen::new(profile, stream_seed(cfg));
-    let mut core = CoreSim::new(CoreConfig::default(), MemoryConfig::default());
-    core.warm_up(&mut gen, CORE_WARMUP_INSTRS);
-    counter!("core.warmups", 1);
-    Ok((core, gen))
 }
 
 /// The assembled co-simulation state. `Clone` so construction (floorplan,
 /// power model, warm-up, solver factorization) can be paid once and the
 /// stepping loop repeated from the same initial state — benches and sweeps
-/// over per-run knobs rely on this.
+/// over per-run knobs rely on this. A clone reads the same activity trace
+/// from the same position, replaying the windows the original recorded.
 #[derive(Clone)]
 pub struct CoSimulation {
     cfg: SimConfig,
@@ -384,8 +418,7 @@ pub struct CoSimulation {
     grid_peaked: FloorplanGrid,
     power: PowerModel,
     thermal: ThermalSim,
-    core: CoreSim,
-    gen: WorkloadGen,
+    trace: TraceCursor,
     idle_act: ActivityCounters,
 }
 
@@ -417,27 +450,31 @@ impl CoSimulation {
     /// Validates the configuration and builds every model of the toolchain,
     /// returning a typed [`ConfigError`] on user-reachable misconfiguration
     /// instead of panicking.
+    ///
+    /// The run reads a private activity trace, and its core warm-up runs
+    /// here, so construction pays for the warm-up and the run for its
+    /// windows.
     pub fn try_new(cfg: SimConfig) -> Result<Self, ConfigError> {
-        let warm = warm_core(&cfg)?;
-        Self::try_new_reusing(cfg, None, warm)
+        let sim = Self::try_new_in(cfg, None, &TraceSet::default())?;
+        sim.trace.warm();
+        Ok(sim)
     }
 
-    /// [`CoSimulation::try_new`] from an already-warmed workload stream
-    /// (see [`warm_core`]), optionally recycling the geometry-keyed model
-    /// parts of a previous same-geometry run (see [`crate::sweep`]).
+    /// [`CoSimulation::try_new`] reading its activity traces from `traces`,
+    /// optionally recycling the geometry-keyed model parts of a previous
+    /// same-geometry run (see [`crate::sweep`]). The core warm-up is left to
+    /// the first window read past the trace's recorded end.
     ///
     /// With `geom: Some(..)` the floorplan, rasterized grids, power model,
     /// and prepared thermal solver are adopted instead of rebuilt; the
     /// thermal *state* is reset to exactly the fresh-construction initial
     /// condition, so the run is bit-identical to one built from scratch.
     /// The caller must only pass parts produced under the same
-    /// [`crate::sweep::geom_key`], and a `warm` core produced by
-    /// [`warm_core`] for a config with the same [`stream_seed`] and
-    /// benchmark (or a clone of one).
-    pub(crate) fn try_new_reusing(
+    /// [`crate::sweep::geom_key`].
+    pub(crate) fn try_new_in(
         cfg: SimConfig,
         geom: Option<GeomParts>,
-        warm: (CoreSim, WorkloadGen),
+        traces: &TraceSet,
     ) -> Result<Self, ConfigError> {
         check_config(&cfg)?;
 
@@ -479,9 +516,9 @@ impl CoSimulation {
             }
         }
 
-        let (core, gen) = warm;
+        let trace = traces.open(TraceKey::of_run(&cfg))?;
         // A representative idle window for the background cores.
-        let idle_act = idle_activity_cached(stream_seed(&cfg) ^ 0xDEAD_BEEF);
+        let idle_act = traces.open(TraceKey::idle_background(&cfg))?.next_window();
 
         // Thermal initial condition. A recycled solver keeps its prepared
         // system (the backward-Euler matrix and Cholesky factor / CG
@@ -533,8 +570,7 @@ impl CoSimulation {
             grid_peaked,
             power,
             thermal,
-            core,
-            gen,
+            trace,
             idle_act,
         })
     }
@@ -551,7 +587,7 @@ impl CoSimulation {
 
     /// Clones the geometry-keyed model parts of this simulation, so a
     /// lockstep batch mate with the same [`crate::sweep::geom_key`] can be
-    /// constructed without rebuilding them ([`CoSimulation::try_new_reusing`]
+    /// constructed without rebuilding them ([`CoSimulation::try_new_in`]
     /// resets the cloned thermal state exactly as it does for arena-recycled
     /// parts). The clone shares the prepared backward-Euler matrix through
     /// its `Arc`, which is also what lets [`step_lockstep`] batch the lanes.
@@ -563,13 +599,6 @@ impl CoSimulation {
             power: self.power.clone(),
             thermal: self.thermal.clone(),
         }
-    }
-
-    /// Clones this simulation's warmed workload stream as it stood after
-    /// construction, so a lockstep batch mate of the same stream can skip
-    /// [`warm_core`]. Only meaningful before the run starts consuming it.
-    pub(crate) fn clone_warm_core(&self) -> (CoreSim, WorkloadGen) {
-        (self.core.clone(), self.gen.clone())
     }
 
     /// The transient thermal simulation.
@@ -671,8 +700,7 @@ impl CoSimulation {
             grid_peaked,
             power,
             mut thermal,
-            mut core,
-            mut gen,
+            mut trace,
             idle_act,
         } = self;
 
@@ -730,8 +758,7 @@ impl CoSimulation {
                     &grid_peaked,
                     &power,
                     &thermal,
-                    &mut core,
-                    &mut gen,
+                    &mut trace,
                     &idle_act,
                 );
                 instructions += w.instr_delta;
@@ -816,8 +843,7 @@ impl CoSimulation {
                         &grid_peaked,
                         &power,
                         &thermal,
-                        &mut core,
-                        &mut gen,
+                        &mut trace,
                         &idle_act,
                     );
                     instructions += w.instr_delta;
@@ -1038,8 +1064,7 @@ pub(crate) fn run_batch_with_analyzers(
     }
     struct LaneMut {
         thermal: ThermalSim,
-        core: CoreSim,
-        gen: WorkloadGen,
+        trace: TraceCursor,
     }
     /// Per-lane loop state mirroring the locals of the serial schedule.
     struct LaneRun {
@@ -1085,8 +1110,7 @@ pub(crate) fn run_batch_with_analyzers(
             grid_peaked,
             power,
             thermal,
-            core,
-            gen,
+            trace,
             idle_act,
         } = sim;
         let track_idx: Vec<usize> = cfg
@@ -1107,7 +1131,7 @@ pub(crate) fn run_batch_with_analyzers(
             idle_act,
             track_idx,
         });
-        lanes.push(LaneMut { thermal, core, gen });
+        lanes.push(LaneMut { thermal, trace });
     }
 
     // Per-lane frame-storage return paths, the batched counterpart of the
@@ -1185,8 +1209,7 @@ pub(crate) fn run_batch_with_analyzers(
                 &ro[i].grid_peaked,
                 &ro[i].power,
                 &lane.thermal,
-                &mut lane.core,
-                &mut lane.gen,
+                &mut lane.trace,
                 &ro[i].idle_act,
             );
             runs[i].instructions += w.instr_delta;
@@ -1345,8 +1368,8 @@ struct WindowOutput {
 }
 
 /// Runs one perf sample + power evaluation + rasterization — stages 1–3 of
-/// the per-window loop. Only the core/workload models are mutated; the
-/// thermal state is read for leakage feedback.
+/// the per-window loop. Only the trace cursor advances; the thermal state
+/// is read for leakage feedback.
 #[allow(clippy::too_many_arguments)]
 fn produce_window(
     cfg: &SimConfig,
@@ -1355,14 +1378,14 @@ fn produce_window(
     grid_peaked: &FloorplanGrid,
     power: &PowerModel,
     thermal: &ThermalSim,
-    core: &mut CoreSim,
-    gen: &mut WorkloadGen,
+    trace: &mut TraceCursor,
     idle_act: &ActivityCounters,
 ) -> WindowOutput {
-    // 1. Performance window (sampled).
+    // 1. Performance window (sampled), read from the stream's activity
+    //    trace; the first reader past its recorded end simulates it.
     let window = {
         let _stage = span!("stage.perf");
-        core.run_instructions(gen, cfg.sample_instrs)
+        trace.next_window()
     };
     let ipc = window.ipc();
     let instr_delta = (ipc * CoreConfig::TIME_STEP_CYCLES as f64) as u64;
@@ -1539,33 +1562,6 @@ fn accumulate_deltas(
     }
 }
 
-/// The background-core activity window for one idle stream, memoized
-/// process-wide.
-///
-/// The idle stream is a pure function of its seed — the idle profile and
-/// the default core/memory configs are compile-time constants — and every
-/// run of a sweep grid derives its idle seed from the same `cfg.seed`, so
-/// a fig11-style 133-run grid has only as many distinct idle streams as
-/// target cores. Simulating the 250 k-instruction window once per *run*
-/// rather than once per *stream* was a measurable slice of construction
-/// time; memoizing a deterministic function returns bit-identical
-/// counters by definition.
-fn idle_activity_cached(seed: u64) -> ActivityCounters {
-    use std::collections::HashMap;
-    use std::sync::OnceLock;
-    static CACHE: OnceLock<parking_lot::Mutex<HashMap<u64, ActivityCounters>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| parking_lot::Mutex::new(HashMap::new()));
-    if let Some(act) = cache.lock().get(&seed) {
-        return *act;
-    }
-    let mut idle_core = CoreSim::new(CoreConfig::default(), MemoryConfig::default());
-    let mut idle_gen = WorkloadGen::new(idle_profile(), seed);
-    idle_core.warm_up(&mut idle_gen, 200_000);
-    let act = idle_core.run_instructions(&mut idle_gen, 50_000);
-    cache.lock().insert(seed, act);
-    act
-}
-
 /// The idle warm-up state of a run, memoized process-wide: a TUH sweep
 /// launches hundreds of idle-warmed runs per floorplan.
 ///
@@ -1575,6 +1571,10 @@ fn idle_activity_cached(seed: u64) -> ActivityCounters {
 /// entry, and whichever computes it first fills it. So the memoized state
 /// is *not* the run's own for every other idle stream, and a result can
 /// depend on which runs came earlier in the process (ROADMAP item 1).
+/// The key is left as it is on purpose: keying on the full content of the
+/// inputs changes results, and it costs the `serve_warm` benchmark about
+/// +32% `wall_s` (2-vCPU host), so the fix belongs with ROADMAP item 1's
+/// re-pinning of the golden keys.
 fn warmup_state_cached(
     cfg: &SimConfig,
     fp: &Floorplan,
@@ -1982,6 +1982,88 @@ mod tests {
         let rs = run_many(vec![a, b], 2);
         assert_eq!(rs[0].config.benchmark, "hmmer");
         assert_eq!(rs[1].config.benchmark, "povray");
+    }
+
+    /// `try_new`'s verdict on `quick_cfg` after `edit`.
+    fn rejection(edit: impl FnOnce(&mut SimConfig)) -> Option<ConfigError> {
+        let mut c = quick_cfg();
+        edit(&mut c);
+        CoSimulation::try_new(c).err()
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_horizon_is_rejected() {
+        for v in [f64::NAN, f64::INFINITY, 0.0, -1e-3] {
+            let err = rejection(|c| c.max_time_s = v);
+            assert!(
+                matches!(err, Some(ConfigError::InvalidHorizon(x)) if x.to_bits() == v.to_bits())
+            );
+        }
+        // A huge finite horizon is valid: the instruction budget bounds it.
+        assert_eq!(
+            check_config(&SimConfig {
+                max_time_s: 1e300,
+                ..quick_cfg()
+            }),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_cell_size_is_rejected() {
+        for v in [f64::NAN, 0.0, -5.0, f64::INFINITY] {
+            let err = rejection(|c| c.cell_um = v);
+            assert!(
+                matches!(err, Some(ConfigError::InvalidCellSize(x)) if x.to_bits() == v.to_bits())
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_or_negative_border_is_rejected() {
+        for v in [f64::NAN, -0.5, f64::NEG_INFINITY] {
+            let err = rejection(|c| c.border_mm = v);
+            assert!(
+                matches!(err, Some(ConfigError::InvalidBorder(x)) if x.to_bits() == v.to_bits())
+            );
+        }
+        assert_eq!(
+            check_config(&SimConfig {
+                border_mm: 0.0,
+                ..quick_cfg()
+            }),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn ic_area_factor_below_one_or_non_finite_is_rejected() {
+        for v in [f64::NAN, 0.5, -2.0, f64::INFINITY] {
+            let err = rejection(|c| c.ic_area_factor = v);
+            assert!(
+                matches!(err, Some(ConfigError::InvalidIcAreaFactor(x)) if x.to_bits() == v.to_bits())
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_unit_scale_is_rejected() {
+        for v in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+            let err =
+                rejection(|c| c.unit_scales = vec![(UnitKind::Rob, 2.0), (UnitKind::IntRat, v)]);
+            assert!(matches!(
+                err,
+                Some(ConfigError::InvalidUnitScale(UnitKind::IntRat, x)) if x.to_bits() == v.to_bits()
+            ));
+        }
+    }
+
+    #[test]
+    fn zero_sample_instrs_is_rejected() {
+        assert_eq!(
+            rejection(|c| c.sample_instrs = 0),
+            Some(ConfigError::ZeroSampleInstrs)
+        );
     }
 
     #[test]

@@ -19,16 +19,18 @@
 //! for the whole batch. Leftover chunks of one job — stragglers of a group,
 //! or geometries that appear only once — take the classic per-run path.
 //!
-//! Inside a geometry group, jobs are first grouped by **workload stream**
-//! (benchmark plus derived stream seed, first-seen order) and only then
-//! chunked, so the runs of one stream — e.g. the Cold and Idle runs of a
-//! Fig. 11 (benchmark, core) pair — land in one batch. A batch runs the
-//! 2 M-instruction core warm-up once per distinct stream; later lanes of
-//! the stream clone the warmed core, as batch mates already clone lane 0's
-//! geometry parts. Sharing never crosses a batch: `--batch 1`, singleton
-//! items, a stream cut by a chunk boundary, and same-stream jobs in
-//! different geometry groups warm their own cores, so a clone only ever
-//! occupies a lane that would have held its own core (peak RSS is flat).
+//! The core model is shared too. Each sweep owns one set of **activity
+//! traces** (see [`crate::activity_trace`]): a workload stream's per-window
+//! core activity, keyed on its benchmark, stream seed and sample size, is
+//! simulated once — warm-up included — and every run of the stream reads
+//! it, whatever batch, chunk or geometry group the run lands in (Fig. 11's
+//! Cold and Idle runs of one (benchmark, core) pair; §V-B's N7 streams at
+//! every IC area factor). A trace holds its warmed core only while a run is
+//! reading it, so inside a geometry group jobs are first grouped by trace
+//! (first-seen order) and only then chunked: the readers of one stream sit
+//! side by side and keep its core alive. A run that reads past the end of a
+//! trace whose core was dropped re-warms it and replays the recorded
+//! windows, which is exact.
 //!
 //! Results are **order-preserving and bit-identical** to running each
 //! config through [`crate::pipeline::run_sim`] serially (with the sweep's
@@ -41,8 +43,6 @@
 //! Telemetry: `sweep.jobs` / `sweep.completions` count scheduled and
 //! finished runs (always equal), `sweep.steal` counts cross-worker steals
 //! (≤ work items), `sweep.arena_reuse` counts geometry-cache hits,
-//! `sweep.warm_core_shared` counts lanes built from a cloned warmed core
-//! (with the pipeline's `core.warmups` they sum to the jobs),
 //! `sweep.queue_depth` samples the injector backlog at each chunk grab,
 //! `sweep.donations` counts workers that retired from the all-empty scan
 //! and donated their thread to the in-flight runs' triangular-solve shards,
@@ -58,10 +58,10 @@ use std::sync::Arc;
 use hotgauge_telemetry::{counter, span};
 use hotgauge_thermal::MAX_LOCKSTEP_WIDTH;
 
+use crate::activity_trace::{TraceKey, TraceSet};
 use crate::analysis::FrameAnalyzer;
 use crate::pipeline::{
-    run_batch_with_analyzers, stream_seed, warm_core, CoSimulation, GeomParts, RunResult,
-    SimConfig, SweepProgress,
+    run_batch_with_analyzers, CoSimulation, GeomParts, RunResult, SimConfig, SweepProgress,
 };
 
 /// Geometry entries an arena keeps before evicting the oldest. Sweeps cycle
@@ -167,13 +167,6 @@ pub(crate) fn geom_key(cfg: &SimConfig) -> String {
     key
 }
 
-/// The workload stream of a config: its benchmark and derived stream seed.
-/// Equal keys warm bit-identical cores (see [`warm_core`]), so the sweep
-/// groups them into one lockstep batch and warms them once.
-fn stream_key(cfg: &SimConfig) -> (&str, u64) {
-    (&cfg.benchmark, stream_seed(cfg))
-}
-
 /// [`crate::pipeline::run_sim`] executing inside an arena: same-geometry
 /// model parts and the frame analyzer are recycled from (and returned to)
 /// `arena`. Bit-identical to `run_sim(cfg)` for any arena state.
@@ -184,14 +177,18 @@ fn stream_key(cfg: &SimConfig) -> (&str, u64) {
 /// [`CoSimulation::new`] (user-input paths validate through
 /// [`CoSimulation::try_new`] first).
 pub fn run_sim_in(cfg: SimConfig, arena: &mut SweepArena) -> RunResult {
+    run_sim_traced(cfg, arena, &TraceSet::default())
+}
+
+/// [`run_sim_in`] reading its activity traces from `traces`.
+fn run_sim_traced(cfg: SimConfig, arena: &mut SweepArena, traces: &TraceSet) -> RunResult {
     let key = geom_key(&cfg);
     let (detect, severity, threads) = (cfg.detect, cfg.severity, cfg.analysis.threads);
     let geom = arena.take_geom(&key);
     if geom.is_some() {
         counter!("sweep.arena_reuse", 1);
     }
-    let mut sim = warm_core(&cfg)
-        .and_then(|warm| CoSimulation::try_new_reusing(cfg, geom, warm))
+    let mut sim = CoSimulation::try_new_in(cfg, geom, traces)
         // hotgauge-lint: allow(L001, "programmatic entry point mirroring run_sim/CoSimulation::new; user-input paths validate through try_new and exit 2")
         .unwrap_or_else(|e| panic!("invalid simulation config: {e}"));
     sim.thermal_mut().set_donated_workers(arena.donated.clone());
@@ -209,10 +206,10 @@ pub fn run_sim_in(cfg: SimConfig, arena: &mut SweepArena) -> RunResult {
 /// arena: lane 0 recycles the arena's cached geometry (or builds it), the
 /// remaining lanes clone lane 0's parts — sharing the prepared backward-Euler
 /// matrix — and all lanes advance through the multi-RHS solver together.
-/// The core warm-up runs once per distinct [`stream_key`] in the batch;
-/// later lanes of a stream clone the first lane's warmed core.
-/// Each result is bit-identical to `run_sim` of that configuration.
-/// `on_lane_done` fires with the lane index as each lane finishes.
+/// Lanes of one workload stream read one activity trace, so its core model
+/// runs once. Each result is bit-identical to `run_sim` of that
+/// configuration. `on_lane_done` fires with the lane index as each lane
+/// finishes.
 ///
 /// # Panics
 ///
@@ -222,6 +219,16 @@ pub fn run_sim_in(cfg: SimConfig, arena: &mut SweepArena) -> RunResult {
 pub fn run_batch_in(
     cfgs: Vec<SimConfig>,
     arena: &mut SweepArena,
+    on_lane_done: Option<&dyn Fn(usize)>,
+) -> Vec<RunResult> {
+    run_batch_traced(cfgs, arena, &TraceSet::default(), on_lane_done)
+}
+
+/// [`run_batch_in`] reading its activity traces from `traces`.
+fn run_batch_traced(
+    cfgs: Vec<SimConfig>,
+    arena: &mut SweepArena,
+    traces: &TraceSet,
     on_lane_done: Option<&dyn Fn(usize)>,
 ) -> Vec<RunResult> {
     assert!(!cfgs.is_empty(), "a batch needs at least one configuration");
@@ -245,19 +252,7 @@ pub fn run_batch_in(
                 g
             }
         };
-        // Lanes of a stream already in the batch clone its warmed core
-        // instead of repeating the warm-up: the warmed core is a pure
-        // function of the stream key, and no lane has run yet.
-        let stream = stream_key(&cfg);
-        let warm = match lanes.iter().find(|l| stream_key(l.config()) == stream) {
-            Some(mate) => {
-                counter!("sweep.warm_core_shared", 1);
-                Ok(mate.clone_warm_core())
-            }
-            None => warm_core(&cfg),
-        };
-        let mut sim = warm
-            .and_then(|warm| CoSimulation::try_new_reusing(cfg, geom, warm))
+        let mut sim = CoSimulation::try_new_in(cfg, geom, traces)
             // hotgauge-lint: allow(L001, "programmatic entry point mirroring run_sim/CoSimulation::new; user-input paths validate through try_new and exit 2")
             .unwrap_or_else(|e| panic!("invalid simulation config: {e}"));
         sim.thermal_mut().set_donated_workers(arena.donated.clone());
@@ -343,12 +338,14 @@ pub fn run_many_with(
 }
 
 /// [`run_many_with`] with an explicit lockstep batch width: same-[`geom_key`]
-/// jobs are grouped (first-seen key order), ordered by workload stream
+/// jobs are grouped (first-seen key order), ordered by activity trace
 /// within the group, and solved up to `batch` at a time through
 /// [`run_batch_in`]; `batch <= 1` disables batching and runs
 /// every job through the classic per-run path. The width is clamped to
 /// [`MAX_LOCKSTEP_WIDTH`]. The batch width never changes any result — only
-/// how many runs share each thermal solve.
+/// how many runs share each thermal solve. Every run of the sweep reads its
+/// core activity from one trace set, so each distinct trace is simulated
+/// once per call at any width.
 pub fn run_many_batched_with(
     cfgs: Vec<SimConfig>,
     threads: usize,
@@ -372,6 +369,7 @@ pub fn run_many_batched_with(
     let batch = batch.clamp(1, MAX_LOCKSTEP_WIDTH);
 
     let items = work_items(&cfgs, batch);
+    let traces = TraceSet::default();
     // Workers are additionally capped at the item count — a worker without
     // a work item would only ever contribute idle arena scratch to peak RSS.
     let workers = pool_workers(threads, n).min(items.len()).max(1);
@@ -402,7 +400,7 @@ pub fn run_many_batched_with(
             if force_serial {
                 cfg.analysis = cfg.analysis.serial();
             }
-            let r = run_sim_in(cfg, arena);
+            let r = run_sim_traced(cfg, arena, &traces);
             lane_done(0);
             vec![(i, r)]
         } else {
@@ -416,7 +414,7 @@ pub fn run_many_batched_with(
                     cfg
                 })
                 .collect();
-            let rs = run_batch_in(batch_cfgs, arena, Some(&lane_done));
+            let rs = run_batch_traced(batch_cfgs, arena, &traces, Some(&lane_done));
             item.iter().copied().zip(rs).collect()
         }
     };
@@ -489,12 +487,12 @@ pub fn run_many_batched_with(
 
 /// The pool's work items for a sweep at lockstep width `batch`: index
 /// batches of same-[`geom_key`] jobs. Jobs group by geometry (first-seen
-/// order), then within a geometry by [`stream_key`] (first-seen order), and
-/// only then chunk into batches of up to `batch`, so the runs of one stream
-/// are adjacent and share a batch — and its core warm-up — unless a chunk
-/// boundary cuts them; a cut stream warms once per chunk. Chunks of one job
-/// take the per-run path. With `batch == 1` every job is its own item, in input
-/// order — the classic executor.
+/// order), then within a geometry by [`TraceKey`] (first-seen order), and
+/// only then chunk into batches of up to `batch`, so the readers of one
+/// trace are adjacent and share a batch — keeping its core alive — unless a
+/// chunk boundary cuts them. Chunks of one job take the per-run path. With
+/// `batch == 1` every job is its own item, in input order — the classic
+/// executor.
 fn work_items(cfgs: &[SimConfig], batch: usize) -> Vec<Vec<usize>> {
     if batch == 1 {
         return (0..cfgs.len()).map(|i| vec![i]).collect();
@@ -509,9 +507,9 @@ fn work_items(cfgs: &[SimConfig], batch: usize) -> Vec<Vec<usize>> {
     }
     let mut items = Vec::new();
     for (_, idxs) in groups {
-        let mut streams: Vec<((&str, u64), Vec<usize>)> = Vec::new();
+        let mut streams: Vec<(TraceKey, Vec<usize>)> = Vec::new();
         for i in idxs {
-            let key = stream_key(&cfgs[i]);
+            let key = TraceKey::of_run(&cfgs[i]);
             match streams.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, same)) => same.push(i),
                 None => streams.push((key, vec![i])),
@@ -680,9 +678,9 @@ mod tests {
 
     #[test]
     fn work_items_group_streams_inside_geometry_groups() {
-        // Two geometries; streams differ by benchmark, seed, or target core
-        // (part of the stream seed). Fields that only shape the run — warm-up,
-        // stop mode, horizon, sample size — do not split a stream.
+        // Two geometries; traces differ by benchmark, seed, target core
+        // (part of the stream seed), or sample size. Fields that only shape
+        // the run — warm-up, stop mode, horizon — do not split a trace.
         let job = |bench: &str, seed: u64, core: usize, cell_um: f64| {
             let mut c = quick_cfg(bench);
             c.seed = seed;
@@ -699,11 +697,12 @@ mod tests {
             job("gcc", 1, 0, 300.0),   // 5: stream B
             job("hmmer", 2, 0, 300.0), // 6: stream D (other seed)
             job("hmmer", 1, 0, 300.0), // 7: stream A
+            job("hmmer", 1, 0, 300.0), // 8: stream E (other sample size)
         ];
         cfgs[4].warmup = Warmup::Idle;
         cfgs[5].stop_at_first_hotspot = true;
         cfgs[7].max_time_s = 2e-4;
-        cfgs[7].sample_instrs = 4_000;
+        cfgs[8].sample_instrs = 4_000;
         let flat = |items: &[Vec<usize>]| -> Vec<usize> { items.concat() };
 
         // Every job exactly once; every item within one geometry group; and
@@ -723,7 +722,7 @@ mod tests {
             }
             for (k, &i) in order.iter().enumerate() {
                 let same = |&j: &usize| {
-                    stream_key(&cfgs[j]) == stream_key(&cfgs[i])
+                    TraceKey::of_run(&cfgs[j]) == TraceKey::of_run(&cfgs[i])
                         && geom_key(&cfgs[j]) == geom_key(&cfgs[i])
                 };
                 let last = order.iter().rposition(same).unwrap();
@@ -733,13 +732,13 @@ mod tests {
         // Wide enough: each stream sits in one item, first-seen order.
         assert_eq!(
             work_items(&cfgs, 8),
-            vec![vec![0, 4, 7, 1, 5, 2, 6], vec![3]]
+            vec![vec![0, 4, 7, 1, 5, 2, 6, 8], vec![3]]
         );
         // Width 2: A's three jobs are cut by a chunk boundary, which shifts
         // B across the next one; chunking never reorders to avoid a cut.
         assert_eq!(
             work_items(&cfgs, 2),
-            vec![vec![0, 4], vec![7, 1], vec![5, 2], vec![6], vec![3]]
+            vec![vec![0, 4], vec![7, 1], vec![5, 2], vec![6, 8], vec![3]]
         );
         // Width 1 is the classic per-job executor, in input order.
         assert_eq!(

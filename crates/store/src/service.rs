@@ -14,7 +14,7 @@
 use std::io::{BufRead, Write};
 
 use hotgauge_core::experiments::Fidelity;
-use hotgauge_core::pipeline::SimConfig;
+use hotgauge_core::pipeline::{check_config, SimConfig};
 use hotgauge_floorplan::tech::TechNode;
 use hotgauge_thermal::warmup::Warmup;
 use serde::{Deserialize, Serialize};
@@ -174,6 +174,9 @@ pub fn request_config(req: &SweepRequest, fid: &Fidelity) -> Result<SimConfig, S
         cfg.ic_area_factor = f;
     }
     cfg.stop_at_first_hotspot = req.stop_at_first_hotspot.unwrap_or(false);
+    // The effective config can still be out of range where the request
+    // field was not, e.g. a tiny `ms` that underflows to a zero horizon.
+    check_config(&cfg).map_err(|e| StoreError::InvalidRequest(e.to_string()))?;
     Ok(cfg)
 }
 
@@ -361,6 +364,8 @@ mod tests {
         assert!(request_config(&req, &fid).is_err());
         req.core = None;
         req.ms = Some(-1.0);
+        assert!(request_config(&req, &fid).is_err());
+        req.ms = Some(1e-322);
         assert!(request_config(&req, &fid).is_err());
         req.ms = None;
         req.ic_area = Some(0.5);

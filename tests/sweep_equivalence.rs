@@ -437,12 +437,12 @@ fn lockstep_stop_prefilter_and_fallback_lanes_match_serial() {
 }
 
 /// Jobs of one workload stream (same benchmark, seed, target core, and
-/// node) share one core warm-up inside a lockstep batch; the clones must
-/// not leak into results. Each stream appears 2-3 times, the copies
-/// differing in warm-up (Cold vs Idle), stop mode, horizon, and sample
-/// size — fields that shape the run but not the warmed core. At batch 2
-/// the three-job streams are cut by a chunk boundary; at batch 1 nothing is
-/// shared. Every row must equal its own serial `run_sim`.
+/// node) read one activity trace; the sharing must not leak into results.
+/// Each stream appears 2-3 times, the copies differing in warm-up (Cold vs
+/// Idle), stop mode, horizon, and sample size (which makes a trace of its
+/// own). At batch 2 the three-job streams are cut by a chunk boundary; at
+/// batch 1 every job is its own work item. Every row must equal its own
+/// serial `run_sim`.
 #[test]
 fn stream_sharers_match_serial_reference_at_all_widths() {
     let _g = lock();
@@ -473,6 +473,12 @@ fn stream_sharers_match_serial_reference_at_all_widths() {
     }
     // Interleave the streams so the grouper has to gather them.
     cfgs.sort_by_key(|c| (c.warmup == Warmup::Idle, c.max_time_s.to_bits()));
+    assert_sweeps_match_run_sim(&cfgs);
+}
+
+/// Every row of `cfgs` through the executor at batch {1, 2, 8} × threads
+/// {1, 2} equals its own serial `run_sim` (serial-forced when threads > 1).
+fn assert_sweeps_match_run_sim(cfgs: &[SimConfig]) {
     let want: Vec<RunResult> = cfgs.iter().cloned().map(run_sim).collect();
     let want_serial: Vec<RunResult> = cfgs
         .iter()
@@ -484,7 +490,7 @@ fn stream_sharers_match_serial_reference_at_all_widths() {
         .collect();
     for batch in [1usize, 2, 8] {
         for threads in [1usize, 2] {
-            let got = run_many_batched_with(cfgs.clone(), threads, batch, None);
+            let got = run_many_batched_with(cfgs.to_vec(), threads, batch, None);
             let want = if threads == 1 { &want } else { &want_serial };
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(want) {
@@ -494,69 +500,178 @@ fn stream_sharers_match_serial_reference_at_all_widths() {
     }
 }
 
+/// A §V-B-shaped grid: per benchmark, a 14 nm baseline and one 7 nm
+/// stream at several IC area factors — one geometry group per factor, so
+/// the stream's trace is read across groups and batches. The 7 nm copies
+/// mix stop and no-stop runs and shorter and longer horizons (a longer
+/// reader after the core was dropped re-warms and replays), and one copy
+/// samples a different instruction count (a trace of its own).
+fn sec5b_shaped_grid() -> Vec<SimConfig> {
+    let mut cfgs = Vec::new();
+    for bench in ["hmmer", "gcc"] {
+        let mut baseline = base_cfg(bench);
+        baseline.node = TechNode::N14;
+        cfgs.push(baseline);
+        for (j, factor) in [1.0, 1.5, 2.0, 2.5].into_iter().enumerate() {
+            let mut c = base_cfg(bench);
+            c.ic_area_factor = factor;
+            match j {
+                1 => {
+                    c.stop_at_first_hotspot = true;
+                    c.detect.t_threshold_c = 48.0;
+                    c.detect.mltd_threshold_c = 0.05;
+                }
+                2 => c.max_time_s = 3e-4,
+                3 => c.max_time_s = 9e-4,
+                _ => {}
+            }
+            cfgs.push(c);
+        }
+    }
+    let mut other_sample = base_cfg("hmmer");
+    other_sample.ic_area_factor = 1.5;
+    other_sample.sample_instrs = 4_000;
+    cfgs.push(other_sample);
+    cfgs
+}
+
+/// The §V-B-shaped grid at every batch and pool width is bit-identical to
+/// `run_sim`, row by row.
+#[test]
+fn sec5b_shaped_grid_matches_serial_reference_at_all_widths() {
+    let _g = lock();
+    let cfgs = sec5b_shaped_grid();
+    let want = run_sim(cfgs[1].clone());
+    assert!(
+        run_sim(cfgs[2].clone()).records.len() < want.records.len(),
+        "premise: the stop job must stop before the horizon"
+    );
+    assert_sweeps_match_run_sim(&cfgs);
+}
+
+/// A stream's core is dropped once no run reads its trace, and a later,
+/// longer run of the stream re-warms it and replays the recorded windows.
+/// The two runs sit in different geometry groups, so at one thread the
+/// short one finishes before the long one starts. Both rows must equal
+/// `run_sim`.
+#[test]
+fn dropped_core_is_rewarmed_and_replayed_exactly() {
+    let _g = lock();
+    let short = SimConfig {
+        max_time_s: 3e-4,
+        ..base_cfg("povray")
+    };
+    let long = SimConfig {
+        max_time_s: 9e-4,
+        cell_um: 360.0,
+        warmup: Warmup::Idle,
+        ..base_cfg("povray")
+    };
+    let want = [run_sim(short.clone()), run_sim(long.clone())];
+    assert!(want[0].records.len() < want[1].records.len());
+    for batch in [1usize, 8] {
+        let before = hotgauge_telemetry::snapshot();
+        let got = run_many_batched_with(vec![short.clone(), long.clone()], 1, batch, None);
+        let after = hotgauge_telemetry::snapshot();
+        for (g, w) in got.iter().zip(&want) {
+            assert_same_run(g, w);
+        }
+        hotgauge_telemetry::if_telemetry! {
+            let delta = |label: &str| {
+                let total = |snap: &hotgauge_telemetry::Snapshot| {
+                    snap.counter(label).map_or(0.0, |c| c.total)
+                };
+                total(&after) - total(&before)
+            };
+            // One trace, warmed twice: the long run re-warms it.
+            assert_eq!(delta("core.warmups"), 2.0);
+            // 2 windows, then 2 replayed + 3 new, plus the idle window.
+            assert_eq!(delta("core.trace_windows"), 8.0);
+        }
+        let _ = (before, after);
+    }
+}
+
 /// Executor telemetry is self-consistent: every scheduled job completes
 /// exactly once, steals never exceed work items, lockstep batches account
-/// for every run they carry, same-geometry batches reuse arenas for all but
-/// each worker's first item, and every run either warms its core or clones
-/// a batch mate's — one warm-up per (stream, work item) pair.
+/// for every run they carry, and — on a §V-B-shaped grid whose readers of
+/// a trace all read the same windows — the core model warms each distinct
+/// activity trace exactly once and simulates each of its windows once, at
+/// any pool schedule.
 // hotgauge-lint: allow(L002, "this test reads the recorder's snapshot API directly, which only exists under the feature; the facade macros cannot gate a whole #[test] fn")
 #[cfg(feature = "telemetry")]
 #[test]
 fn executor_telemetry_counters_are_consistent() {
     let _g = lock();
-    const JOBS: usize = 6;
     const WIDTH: usize = 3;
     const BATCH: usize = 2;
-    // One geometry, so the lockstep grouper chunks all six runs into three
-    // width-2 batch items; the realized pool is capped by hardware, items,
-    // and the requested width exactly as the executor computes it.
-    const ITEMS: usize = JOBS / BATCH;
-    // Two workload streams of three jobs each, already contiguous, so the
-    // items are [0, 1], [2, 3], [4, 5] and the middle one holds both.
-    let stream = |i: usize| i / 3;
-    let workers = hotgauge_core::pool_workers(WIDTH, JOBS).clamp(1, ITEMS);
-    let cfgs: Vec<SimConfig> = (0..JOBS)
-        .map(|i| {
-            let mut c = base_cfg("hmmer");
-            c.seed = stream(i) as u64;
-            if i % 2 == 1 {
-                c.warmup = Warmup::Idle;
+    // Per (seed, benchmark): a 14 nm baseline and a 7 nm stream at two IC
+    // area factors. Three geometry groups of four jobs chunk into six
+    // width-2 items; the 7 nm streams are read across two groups.
+    let mut cfgs = Vec::new();
+    for seed in 0..2u64 {
+        for bench in ["hmmer", "gcc"] {
+            let mut baseline = base_cfg(bench);
+            baseline.seed = seed;
+            baseline.node = TechNode::N14;
+            cfgs.push(baseline);
+            for factor in [1.0, 2.0] {
+                let mut c = base_cfg(bench);
+                c.seed = seed;
+                c.ic_area_factor = factor;
+                cfgs.push(c);
             }
-            c
-        })
+        }
+    }
+    let jobs = cfgs.len();
+    let items = jobs / BATCH;
+    let geometries = 3;
+    let workers = hotgauge_core::pool_workers(WIDTH, jobs).clamp(1, items);
+    let traces: std::collections::BTreeSet<(String, u64, u32)> = cfgs
+        .iter()
+        .map(|c| (c.benchmark.clone(), c.seed, c.node.generations_from_14()))
         .collect();
-    let stream_items: std::collections::BTreeSet<(usize, usize)> =
-        (0..JOBS).map(|i| (stream(i), i / BATCH)).collect();
+    let idle_streams: std::collections::BTreeSet<(u64, u32)> = cfgs
+        .iter()
+        .map(|c| (c.seed, c.node.generations_from_14()))
+        .collect();
     let before = hotgauge_telemetry::snapshot();
     let rs = run_many_batched_with(cfgs, WIDTH, BATCH, None);
     let after = hotgauge_telemetry::snapshot();
-    assert_eq!(rs.len(), JOBS);
+    assert_eq!(rs.len(), jobs);
 
     let total = |snap: &hotgauge_telemetry::Snapshot, label: &str| {
         snap.counter(label).map_or(0.0, |c| c.total)
     };
     let delta = |label: &str| total(&after, label) - total(&before, label);
-    assert_eq!(delta("sweep.jobs"), JOBS as f64);
-    assert_eq!(delta("sweep.completions"), JOBS as f64);
+    assert_eq!(delta("sweep.jobs"), jobs as f64);
+    assert_eq!(delta("sweep.completions"), jobs as f64);
     // Every run went through a lockstep batch, and batch widths sum to the
-    // run count (three full width-2 batches).
-    assert_eq!(delta("solver.lockstep_runs"), JOBS as f64);
-    assert_eq!(delta("solver.batch_width"), JOBS as f64);
-    // Each run warms its core or clones a batch mate's, never both; the
-    // warm-ups are exactly the distinct (stream, work item) pairs (4 here).
-    let warmups = delta("core.warmups");
-    assert_eq!(warmups + delta("sweep.warm_core_shared"), JOBS as f64);
-    assert_eq!(warmups, stream_items.len() as f64);
+    // run count (six full width-2 batches).
+    assert_eq!(delta("solver.lockstep_runs"), jobs as f64);
+    assert_eq!(delta("solver.batch_width"), jobs as f64);
+    // One warm-up per distinct trace (8 of 12 jobs), one short warm-up per
+    // distinct idle background stream, and each window simulated once.
+    let windows = rs[0].records.len() / rs[0].config.substeps;
+    assert!(rs
+        .iter()
+        .all(|r| r.records.len() / r.config.substeps == windows));
+    assert_eq!(delta("core.warmups"), traces.len() as f64);
+    assert_eq!(delta("core.idle_warmups"), idle_streams.len() as f64);
+    assert_eq!(
+        delta("core.trace_windows"),
+        (traces.len() * windows + idle_streams.len()) as f64
+    );
     let steals = delta("sweep.steal");
     assert!(
-        (0.0..=ITEMS as f64).contains(&steals),
+        (0.0..=items as f64).contains(&steals),
         "steals {steals} out of range"
     );
-    // One geometry: each worker misses its arena at most once, and only
-    // lane 0 of each batch item touches the arena at all.
+    // Only lane 0 of each batch item touches the arena, and only an item
+    // that follows one of its own geometry on the same worker can hit.
     let reuse = delta("sweep.arena_reuse");
     assert!(
-        ((ITEMS - workers) as f64..=(ITEMS - 1) as f64).contains(&reuse),
+        (0.0..=(items - geometries) as f64).contains(&reuse),
         "arena reuse {reuse} out of range for {workers} worker(s)"
     );
     let span_calls =
