@@ -6,13 +6,14 @@
 //!   under `--features telemetry`, per-stage timing and solver counters)
 //!   atomically to PATH; `-` prints it to stdout.
 //! * `--threads N` — thread budget: the sweep executor's worker-pool width
-//!   for multi-run bins, and the analysis worker threads for single runs
-//!   (default: one per hardware thread; results are bit-identical either
-//!   way). Sweep bins record the realized pool shape in their manifests.
+//!   for multi-run bins, and the row shards of each run's hotspot analysis
+//!   for single runs (default: one per hardware thread; results are
+//!   bit-identical either way). Sweep bins record the realized pool shape
+//!   in their manifests.
 //! * `--batch K` — lockstep batch width for sweep bins: same-geometry runs
 //!   are solved up to `K` at a time through the multi-RHS thermal path
-//!   (default: [`hotgauge_core::DEFAULT_BATCH_WIDTH`]; `1` disables
-//!   batching; results are bit-identical at every width).
+//!   (default: [`hotgauge_core::DEFAULT_BATCH_WIDTH`]; `1` runs every job
+//!   as a one-lane batch; results are bit-identical at every width).
 //! * `--solver-threads N` — shard width for the level-scheduled triangular
 //!   sweeps of the direct (skyline Cholesky) thermal solver (`0` = one per
 //!   hardware thread, default `1` = serial sweeps; results are bit-identical

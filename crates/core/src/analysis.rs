@@ -54,10 +54,6 @@ pub struct AnalysisConfig {
     /// hardware thread (capped so every shard keeps at least
     /// `MIN_SHARD_CELLS` cells), `1` = always serial, `N` = at most `N`.
     pub threads: usize,
-    /// Analyze window `t` on a worker thread while the main thread solves
-    /// window `t + 1` (bounded two-frame channel; record order and results
-    /// are bit-identical to the serial schedule).
-    pub overlap: bool,
     /// Skip the analysis of substeps whose frame max is below `T_th` in
     /// `stop_at_first_hotspot` runs (such frames cannot contain a hotspot
     /// by Definition 1).
@@ -68,7 +64,6 @@ impl Default for AnalysisConfig {
     fn default() -> Self {
         Self {
             threads: 0,
-            overlap: hardware_threads() > 1,
             prefilter: true,
         }
     }
@@ -79,11 +74,7 @@ impl AnalysisConfig {
     /// (`run_many`): when every core already runs its own simulation,
     /// per-run analysis threads would only oversubscribe the machine.
     pub fn serial(self) -> Self {
-        Self {
-            threads: 1,
-            overlap: false,
-            ..self
-        }
+        Self { threads: 1, ..self }
     }
 }
 
@@ -631,7 +622,6 @@ mod tests {
         assert!(c.prefilter);
         let s = c.serial();
         assert_eq!(s.threads, 1);
-        assert!(!s.overlap);
         assert!(s.prefilter, "serial() must preserve the prefilter choice");
     }
 }

@@ -69,7 +69,7 @@ pub use crate::pipeline::{run_many, run_sim, BatchedCoSim, RunResult, SimConfig,
 pub use crate::series::{percentile, rms, BoxStats, TimeSeries};
 pub use crate::severity::{peak_severity, SeverityParams, Sigmoid};
 pub use crate::sweep::{
-    pool_workers, run_batch_in, run_many_batched_with, run_sim_in, sweep_serial_forced, SweepArena,
+    pool_workers, run_batch_in, run_many_batched_with, sweep_serial_forced, SweepArena,
     DEFAULT_BATCH_WIDTH,
 };
 pub use crate::throttle::{run_throttled, ThrottlePolicy, ThrottledRunResult};

@@ -111,8 +111,8 @@ pub struct SimConfig {
     /// (Fig. 2).
     pub delta_histogram: Option<HistSpec>,
     /// Execution strategy of the per-substep analysis stage (row sharding,
-    /// solve/analysis overlap, sub-threshold prefilter). Never changes any
-    /// result — only how fast it is computed.
+    /// sub-threshold prefilter). Never changes any result — only how fast it
+    /// is computed.
     pub analysis: AnalysisConfig,
     /// Thread budget for the direct solver's level-scheduled triangular
     /// sweeps (`0` = one per hardware thread, `1` = serial). Like
@@ -228,6 +228,10 @@ impl RunResult {
 
 /// Builds the (possibly mitigation-scaled) floorplan of a config.
 pub fn build_floorplan(cfg: &SimConfig) -> Floorplan {
+    skylake_proxy(cfg).build()
+}
+
+fn skylake_proxy(cfg: &SimConfig) -> SkylakeProxy {
     let mut b = SkylakeProxy::new(cfg.node);
     for &(kind, factor) in &cfg.unit_scales {
         b = b.scale_unit(kind, factor);
@@ -235,7 +239,32 @@ pub fn build_floorplan(cfg: &SimConfig) -> Floorplan {
     if cfg.ic_area_factor > 1.0 {
         b = b.ic_area_factor(cfg.ic_area_factor);
     }
-    b.build()
+    b
+}
+
+/// The largest thermal grid a run may build, in cells per layer: the die
+/// plus its spreading border. The paper's 100 µm cells with the default
+/// 4 mm border need at most 52 398 across every node, IC area factor and
+/// unit scaling the experiments use; the cap leaves room for finer studies
+/// (50 µm at 14 nm) while rejecting cell sizes whose grids would take
+/// gigabytes or hours.
+pub const MAX_GRID_CELLS: usize = 250_000;
+
+/// The cells per layer of the thermal grid `cfg` builds — the die
+/// rasterized at `cell_um` plus the border on each side, with the
+/// rasterizer's and stack's rounding — from the die outline alone, so
+/// nothing grid-sized is allocated. Counted in `f64`: an absurdly small cell
+/// gives a huge count, not an overflow. Needs finite, positive `cell_um`,
+/// `border_mm` ≥ 0, and valid mitigation factors.
+fn grid_cells(cfg: &SimConfig) -> f64 {
+    let die = skylake_proxy(cfg).die();
+    let cell_mm = cfg.cell_um / 1000.0;
+    let border = (cfg.border_mm * units::M_PER_MM / (cfg.cell_um * 1e-6))
+        .round()
+        .max(1.0);
+    let nx = (die.w / cell_mm).ceil().max(1.0) + 2.0 * border;
+    let ny = (die.h / cell_mm).ceil().max(1.0) + 2.0 * border;
+    nx * ny
 }
 
 /// Runs one co-simulation to completion.
@@ -317,6 +346,8 @@ pub enum ConfigError {
     InvalidUnitScale(UnitKind, f64),
     /// `sample_instrs` must be at least 1.
     ZeroSampleInstrs,
+    /// The thermal grid (cells per layer) would exceed [`MAX_GRID_CELLS`].
+    GridTooLarge(f64),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -354,6 +385,11 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "scale factor {x} of {kind:?} must be finite and > 0")
             }
             ConfigError::ZeroSampleInstrs => write!(f, "sample_instrs must be >= 1"),
+            ConfigError::GridTooLarge(cells) => write!(
+                f,
+                "thermal grid of {cells:.3e} cells per layer exceeds the budget of \
+                 {MAX_GRID_CELLS} cells"
+            ),
         }
     }
 }
@@ -393,6 +429,10 @@ pub fn check_config(cfg: &SimConfig) -> Result<(), ConfigError> {
     }
     if cfg.sample_instrs < 1 {
         return Err(ConfigError::ZeroSampleInstrs);
+    }
+    let cells = grid_cells(cfg);
+    if cells > MAX_GRID_CELLS as f64 {
+        return Err(ConfigError::GridTooLarge(cells));
     }
     Ok(())
 }
@@ -640,320 +680,25 @@ impl CoSimulation {
     }
 
     /// [`CoSimulation::run`] with a per-window liveness callback, so long
-    /// runs can report progress while they execute.
+    /// runs can report progress while they execute. The callback fires once
+    /// per window the run completes; a stop-at-first-hotspot run that ends
+    /// mid-window reports no progress for that window.
     ///
-    /// The per-substep analysis runs through [`FrameAnalyzer`] (fused MLTD +
-    /// detection + severity with reusable buffers and optional row sharding).
-    /// With `cfg.analysis.overlap` it moves to a dedicated worker thread fed
-    /// by a bounded two-frame channel, so the analysis of substep *t*
-    /// overlaps the thermal solve of substep *t + 1* — and, because retired
-    /// frame buffers flow back to the producer for reuse, the solver can run
-    /// ahead to *t + 2* while the analyzer is still consuming *t* without
-    /// allocating fresh state (`pipeline.depth2_advances` counts those deep
-    /// advances); frames are processed in send order, so every record,
-    /// census entry, and series value is bit-identical to the serial
-    /// schedule.
+    /// A run is a one-lane batch: it advances through the same stepping loop
+    /// as [`BatchedCoSim`] and the sweep executor, whose lone lane takes the
+    /// single-RHS [`ThermalSim::step`].
     pub fn run_with_progress(self, on_window: Option<&dyn Fn(WindowProgress)>) -> RunResult {
         let analyzer = FrameAnalyzer::new(
             self.cfg.detect,
             self.cfg.severity,
             self.cfg.analysis.threads,
         );
-        self.run_with_analyzer(analyzer, on_window).0
-    }
-
-    /// [`CoSimulation::run_with_progress`] on a caller-supplied (possibly
-    /// recycled) [`FrameAnalyzer`], handing the analyzer and the
-    /// geometry-keyed model parts back for reuse by the next same-geometry
-    /// run. The analyzer is re-targeted at this run's parameters first, so a
-    /// dirty analyzer produces bit-identical results to a fresh one.
-    pub(crate) fn run_with_analyzer(
-        self,
-        mut analyzer: FrameAnalyzer,
-        on_window: Option<&dyn Fn(WindowProgress)>,
-    ) -> (RunResult, FrameAnalyzer, GeomParts) {
-        analyzer.reconfigure(
-            self.cfg.detect,
-            self.cfg.severity,
-            self.cfg.analysis.threads,
-        );
-        let window_s = self.cfg.window_seconds();
-        let dt_sub = window_s / self.cfg.substeps as f64;
-        let track_idx: Vec<usize> = self
-            .cfg
-            .track_units
-            .iter()
-            .map(|n| {
-                self.fp
-                    .unit_index_by_name(n)
-                    // hotgauge-lint: allow(L001, "track_units validated against the floorplan in try_new; a miss here is a bug, not user input")
-                    .unwrap_or_else(|| panic!("unknown tracked unit {n}"))
-            })
-            .collect();
-
-        // Split the state: the window producer mutates the models while the
-        // analysis context only reads the configuration/floorplan side.
-        let Self {
-            cfg,
-            fp,
-            grid,
-            grid_peaked,
-            power,
-            mut thermal,
-            mut trace,
-            idle_act,
-        } = self;
-
-        // The prefilter records zeros for MLTD/severity on provably
-        // hotspot-free substeps, so it only engages where those fields are
-        // never consumed: stop-at-first-hotspot (TUH) runs without per-unit
-        // severity tracking. The TUH itself is exact either way — a frame
-        // whose max is at or below `T_th` cannot contain a hotspot.
-        let prefilter = cfg.analysis.prefilter && cfg.stop_at_first_hotspot && track_idx.is_empty();
-        // Overlap lets this thread run substeps past the stopping hotspot
-        // before the worker reports it. That is invisible in the result
-        // except through the Fig. 2 ΔT histogram (accumulated here per
-        // window), so that one combination stays serial.
-        let overlap =
-            cfg.analysis.overlap && !(cfg.stop_at_first_hotspot && cfg.delta_histogram.is_some());
-
-        // Frame-storage return path: the analysis side retires each frame's
-        // buffer once it moves on, and the producer extracts the next
-        // substep into it. Same-thread in the serial schedule, cross-thread
-        // under overlap; either way the recycled values are overwritten in
-        // full, so results are bit-identical to fresh allocation.
-        let (recycle_tx, recycle_rx) = std::sync::mpsc::channel::<ThermalFrame>();
-        let mut ctx = AnalysisCtx {
-            analyzer,
-            cfg: &cfg,
-            fp: &fp,
-            grid: &grid,
-            track_idx: &track_idx,
-            prefilter,
-            records: Vec::new(),
-            sev_series: TimeSeries::default(),
-            census: HotspotCensus::new(),
-            tuh: None,
-            last_frame: None,
-            last_instructions: 0,
-            recycle: Some(recycle_tx),
-        };
-
-        let mut time_s = 0.0;
-        let mut instructions: u64 = 0;
-        // Carry the histogram spec alongside its accumulators so the window
-        // loops never have to re-fetch it from the config (which would need
-        // an unwrap of an Option already matched here).
-        let mut delta_counts = cfg
-            .delta_histogram
-            .map(|h| (h, edges(&h), vec![0usize; h.bins]));
-        let mut windows: u64 = 0;
-
-        if !overlap {
-            'outer: while instructions < cfg.max_instructions && time_s < cfg.max_time_s {
-                let w = produce_window(
-                    &cfg,
-                    &fp,
-                    &grid,
-                    &grid_peaked,
-                    &power,
-                    &thermal,
-                    &mut trace,
-                    &idle_act,
-                );
-                instructions += w.instr_delta;
-                counter!("pipeline.substeps", cfg.substeps);
-                for _ in 0..cfg.substeps {
-                    {
-                        let _stage = span!("stage.thermal");
-                        thermal.step(&w.power_map, dt_sub);
-                    }
-                    time_s += dt_sub;
-                    let (frame, frame_max) = match recycle_rx.try_recv() {
-                        Ok(retired) => thermal.die_frame_with_max_into(retired.temps),
-                        Err(_) => thermal.die_frame_with_max(),
-                    };
-                    let proceed = {
-                        let _stage = span!("stage.detect");
-                        ctx.process(SubstepMsg {
-                            frame,
-                            frame_max,
-                            time_s,
-                            power_w: w.power_w,
-                            ipc: w.ipc,
-                            instructions,
-                        })
-                    };
-                    if !proceed {
-                        break 'outer;
-                    }
-                }
-                if let Some((ref h, _, ref mut counts)) = delta_counts {
-                    accumulate_deltas(h, counts, &w.frame_before, &thermal.die_frame());
-                }
-                windows += 1;
-                if let Some(cb) = on_window {
-                    cb(WindowProgress {
-                        windows,
-                        time_s,
-                        instructions,
-                        max_instructions: cfg.max_instructions,
-                        max_time_s: cfg.max_time_s,
-                    });
-                }
-            }
-        } else {
-            let stop = std::sync::atomic::AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                // Two in-flight frames: the worker analyzes one while this
-                // thread solves into the other (double buffering); a third
-                // send blocks, bounding memory and keeping the stages in
-                // lockstep.
-                let (tx, rx) = std::sync::mpsc::sync_channel::<SubstepMsg>(2);
-                let worker_ctx = &mut ctx;
-                let stop_flag = &stop;
-                let worker = scope.spawn(move || {
-                    let _stage = span!("analysis.worker");
-                    while let Ok(msg) = rx.recv() {
-                        let _stage = span!("stage.detect");
-                        if !worker_ctx.process(msg) {
-                            stop_flag.store(true, std::sync::atomic::Ordering::Release);
-                            break;
-                        }
-                    }
-                });
-                // Frames owned by the analysis side (in the channel, in
-                // flight, or held as `last_frame`), i.e. sends minus
-                // reclaims. Three outstanding frames at solve time means
-                // the analyzer is still consuming substep t while this
-                // thread solves t + 2: the worker holds t (plus the retired
-                // t − 1 it has not released yet) and t + 1 waits in the
-                // channel — the deep-overlap state the buffer pool exists
-                // for.
-                let mut outstanding = 0usize;
-                let mut spares: Vec<ThermalFrame> = Vec::new();
-                'outer: while instructions < cfg.max_instructions && time_s < cfg.max_time_s {
-                    if stop.load(std::sync::atomic::Ordering::Acquire) {
-                        break;
-                    }
-                    let w = produce_window(
-                        &cfg,
-                        &fp,
-                        &grid,
-                        &grid_peaked,
-                        &power,
-                        &thermal,
-                        &mut trace,
-                        &idle_act,
-                    );
-                    instructions += w.instr_delta;
-                    counter!("pipeline.substeps", cfg.substeps);
-                    for _ in 0..cfg.substeps {
-                        if stop.load(std::sync::atomic::Ordering::Acquire) {
-                            break 'outer;
-                        }
-                        while let Ok(retired) = recycle_rx.try_recv() {
-                            spares.push(retired);
-                            outstanding -= 1;
-                        }
-                        if outstanding >= 3 {
-                            counter!("pipeline.depth2_advances", 1);
-                        }
-                        {
-                            let _stage = span!("stage.thermal");
-                            thermal.step(&w.power_map, dt_sub);
-                        }
-                        time_s += dt_sub;
-                        let (frame, frame_max) = match spares.pop() {
-                            Some(retired) => thermal.die_frame_with_max_into(retired.temps),
-                            None => thermal.die_frame_with_max(),
-                        };
-                        let msg = SubstepMsg {
-                            frame,
-                            frame_max,
-                            time_s,
-                            power_w: w.power_w,
-                            ipc: w.ipc,
-                            instructions,
-                        };
-                        match tx.try_send(msg) {
-                            Ok(()) => outstanding += 1,
-                            Err(std::sync::mpsc::TrySendError::Full(m)) => {
-                                // The analysis is the bottleneck right now;
-                                // block until it frees a slot.
-                                counter!("analysis.overlap_stalls", 1);
-                                if tx.send(m).is_err() {
-                                    break 'outer;
-                                }
-                                outstanding += 1;
-                            }
-                            Err(std::sync::mpsc::TrySendError::Disconnected(_)) => break 'outer,
-                        }
-                    }
-                    if let Some((ref h, _, ref mut counts)) = delta_counts {
-                        accumulate_deltas(h, counts, &w.frame_before, &thermal.die_frame());
-                    }
-                    windows += 1;
-                    if let Some(cb) = on_window {
-                        cb(WindowProgress {
-                            windows,
-                            time_s,
-                            instructions,
-                            max_instructions: cfg.max_instructions,
-                            max_time_s: cfg.max_time_s,
-                        });
-                    }
-                }
-                drop(tx);
-                // hotgauge-lint: allow(L001, "re-raises a worker panic on the producer thread; swallowing it would return a silently truncated RunResult")
-                worker.join().expect("analysis worker panicked");
-            });
-        }
-
-        let AnalysisCtx {
-            analyzer,
-            records,
-            sev_series,
-            census,
-            tuh,
-            mut last_frame,
-            last_instructions,
-            ..
-        } = ctx;
-
-        // In stop mode the producer may have solved past the stopping
-        // substep under overlap; the recorded state of that substep — not
-        // the thermal model's — is what the serial schedule reports.
-        let stopped = cfg.stop_at_first_hotspot && tuh.is_some();
-        let total_instructions = if stopped {
-            last_instructions
-        } else {
-            instructions
-        };
-        let final_frame = if stopped {
-            // hotgauge-lint: allow(L001, "tuh is only set by AnalysisCtx::process, which stores last_frame in the same match arm before returning false")
-            last_frame.take().expect("stopping substep has a frame")
-        } else {
-            thermal.die_frame()
-        };
-        let result = RunResult {
-            config: cfg,
-            records,
-            tuh_s: tuh,
-            census,
-            delta_hist: delta_counts.map(|(_, e, c)| (e, c)),
-            total_instructions,
-            final_frame,
-            sev_series,
-        };
-        let parts = GeomParts {
-            fp,
-            grid,
-            grid_peaked,
-            power,
-            thermal,
-        };
-        (result, analyzer, parts)
+        let forward = on_window.map(|cb| move |_lane: usize, p: WindowProgress| cb(p));
+        let on_lane_window = forward
+            .as_ref()
+            .map(|f| f as &dyn Fn(usize, WindowProgress));
+        let mut outs = run_batch_with_analyzers(vec![self], vec![analyzer], None, on_lane_window);
+        outs.swap_remove(0).0
     }
 }
 
@@ -982,9 +727,8 @@ pub(crate) struct GeomParts {
 /// mates continue.
 ///
 /// Results are **bit-identical** to running each lane through
-/// [`CoSimulation::run`] on its own: the batch replays the serial analysis
-/// schedule per lane (which the overlap schedule also reproduces exactly),
-/// and the lockstep solver applies each lane's arithmetic in the same
+/// [`CoSimulation::run`] on its own: the lanes share nothing but the thermal
+/// solve, and the lockstep solver applies each lane's arithmetic in the same
 /// element order as the single-RHS path. Lanes whose thermal systems turn
 /// out not to be homogeneous (different grids or solver states) fall back
 /// to per-lane solo steps inside [`step_lockstep`] — still exact, just
@@ -1033,22 +777,30 @@ impl BatchedCoSim {
             .iter()
             .map(|l| FrameAnalyzer::new(l.cfg.detect, l.cfg.severity, l.cfg.analysis.threads))
             .collect();
-        run_batch_with_analyzers(self.lanes, analyzers, None)
+        run_batch_with_analyzers(self.lanes, analyzers, None, None)
             .into_iter()
             .map(|(result, _, _)| result)
             .collect()
     }
 }
 
-/// The batch engine behind [`BatchedCoSim`], on caller-supplied (possibly
-/// recycled) analyzers, handing each lane's analyzer and geometry parts back
-/// for arena reuse — the batched analogue of
-/// [`CoSimulation::run_with_analyzer`]. `on_lane_done` fires with the lane
-/// index as each lane finishes (sweep liveness).
+/// The stepping loop of the pipeline, and its only copy: a plain run (one
+/// lane), a [`BatchedCoSim`], and every work item of the sweep executor
+/// advance through it. Per window, each running lane produces its
+/// perf/power window; per substep, one [`step_lockstep`] call advances the
+/// still-running lanes and each lane's analysis reads its new frame.
+///
+/// Runs on caller-supplied (possibly recycled) analyzers, re-targeted at
+/// each lane's parameters first so a dirty analyzer gives bit-identical
+/// results, and hands each lane's analyzer and geometry parts back for arena
+/// reuse. `on_lane_done` fires with the lane index as each lane finishes
+/// (sweep liveness); `on_window` fires with the lane index after each window
+/// a lane completes.
 pub(crate) fn run_batch_with_analyzers(
     sims: Vec<CoSimulation>,
     analyzers: Vec<FrameAnalyzer>,
     on_lane_done: Option<&dyn Fn(usize)>,
+    on_window: Option<&dyn Fn(usize, WindowProgress)>,
 ) -> Vec<(RunResult, FrameAnalyzer, GeomParts)> {
     // The per-lane model parts, split by mutability: the window producer and
     // thermal solver mutate `LaneMut`, while the analysis contexts hold
@@ -1066,24 +818,14 @@ pub(crate) fn run_batch_with_analyzers(
         thermal: ThermalSim,
         trace: TraceCursor,
     }
-    /// Per-lane loop state mirroring the locals of the serial schedule.
+    /// Per-lane loop state.
     struct LaneRun {
         time_s: f64,
         instructions: u64,
+        windows: u64,
         delta_counts: Option<(HistSpec, Vec<f64>, Vec<usize>)>,
         window: Option<WindowOutput>,
         finished: bool,
-    }
-    /// The owned accumulators of one lane's `AnalysisCtx`, extracted so the
-    /// borrows of `LaneRo` end before the model parts move into the results.
-    struct CtxOut {
-        analyzer: FrameAnalyzer,
-        records: Vec<StepRecord>,
-        sev_series: TimeSeries,
-        census: HotspotCensus,
-        tuh: Option<f64>,
-        last_frame: Option<ThermalFrame>,
-        last_instructions: u64,
     }
 
     let k = sims.len();
@@ -1134,37 +876,10 @@ pub(crate) fn run_batch_with_analyzers(
         lanes.push(LaneMut { thermal, trace });
     }
 
-    // Per-lane frame-storage return paths, the batched counterpart of the
-    // serial schedule's buffer pool: each lane re-extracts into the buffer
-    // its own analysis retired two substeps ago.
-    let mut recycle_rxs = Vec::with_capacity(k);
     let mut ctxs: Vec<AnalysisCtx<'_>> = ro
         .iter()
         .zip(analyzers)
-        .map(|(r, mut analyzer)| {
-            analyzer.reconfigure(r.cfg.detect, r.cfg.severity, r.cfg.analysis.threads);
-            // Same engagement rule as the serial schedule (see
-            // `run_with_analyzer`): TUH runs without tracked units.
-            let prefilter =
-                r.cfg.analysis.prefilter && r.cfg.stop_at_first_hotspot && r.track_idx.is_empty();
-            let (recycle_tx, recycle_rx) = std::sync::mpsc::channel::<ThermalFrame>();
-            recycle_rxs.push(recycle_rx);
-            AnalysisCtx {
-                analyzer,
-                cfg: &r.cfg,
-                fp: &r.fp,
-                grid: &r.grid,
-                track_idx: &r.track_idx,
-                prefilter,
-                records: Vec::new(),
-                sev_series: TimeSeries::default(),
-                census: HotspotCensus::new(),
-                tuh: None,
-                last_frame: None,
-                last_instructions: 0,
-                recycle: Some(recycle_tx),
-            }
-        })
+        .map(|(r, analyzer)| AnalysisCtx::new(&r.cfg, &r.fp, &r.grid, &r.track_idx, analyzer))
         .collect();
 
     let mut runs: Vec<LaneRun> = ro
@@ -1172,6 +887,7 @@ pub(crate) fn run_batch_with_analyzers(
         .map(|r| LaneRun {
             time_s: 0.0,
             instructions: 0,
+            windows: 0,
             delta_counts: r
                 .cfg
                 .delta_histogram
@@ -1185,8 +901,8 @@ pub(crate) fn run_batch_with_analyzers(
     let mut active_idx: Vec<usize> = Vec::with_capacity(k);
     loop {
         // Window start: every unfinished lane with budget left produces its
-        // perf/power window; lanes whose budget ran out finish here, exactly
-        // where the serial loop condition would have stopped them.
+        // perf/power window; a lane whose instruction or time budget ran out
+        // finishes here.
         let mut any = false;
         for i in 0..k {
             if runs[i].finished {
@@ -1223,8 +939,7 @@ pub(crate) fn run_batch_with_analyzers(
 
         for _ in 0..substeps {
             // The active set is re-evaluated every substep: a lane that
-            // stopped at substep s takes no thermal step at s + 1, exactly
-            // like the serial `break 'outer`.
+            // stopped at substep s takes no thermal step at s + 1.
             active_idx.clear();
             for (i, run) in runs.iter().enumerate() {
                 if !run.finished && run.window.is_some() {
@@ -1258,13 +973,13 @@ pub(crate) fn run_batch_with_analyzers(
                     continue;
                 };
                 runs[i].time_s += dt_sub;
-                let (frame, frame_max) = match recycle_rxs[i].try_recv() {
-                    Ok(retired) => lanes[i].thermal.die_frame_with_max_into(retired.temps),
-                    Err(_) => lanes[i].thermal.die_frame_with_max(),
+                let (frame, frame_max) = match ctxs[i].out.spare.take() {
+                    Some(spare) => lanes[i].thermal.die_frame_with_max_into(spare.temps),
+                    None => lanes[i].thermal.die_frame_with_max(),
                 };
                 let proceed = {
                     let _stage = span!("stage.detect");
-                    ctxs[i].process(SubstepMsg {
+                    ctxs[i].process(Substep {
                         frame,
                         frame_max,
                         time_s: runs[i].time_s,
@@ -1275,8 +990,8 @@ pub(crate) fn run_batch_with_analyzers(
                 };
                 if !proceed {
                     // Stop-at-first-hotspot: the lane ends mid-window, so it
-                    // must not take further steps nor accumulate this
-                    // window's ΔT histogram (serial breaks before both).
+                    // takes no further steps and neither accumulates this
+                    // window's ΔT histogram nor reports it as progress.
                     runs[i].finished = true;
                     runs[i].window = None;
                     if let Some(cb) = on_lane_done {
@@ -1287,38 +1002,29 @@ pub(crate) fn run_batch_with_analyzers(
         }
 
         // Window end for lanes that completed all substeps.
-        for (run, lane) in runs.iter_mut().zip(lanes.iter()) {
+        for (i, (run, lane)) in runs.iter_mut().zip(lanes.iter()).enumerate() {
             let Some(w) = run.window.take() else { continue };
             if let Some((ref h, _, ref mut counts)) = run.delta_counts {
                 accumulate_deltas(h, counts, &w.frame_before, &lane.thermal.die_frame());
             }
+            run.windows += 1;
+            if let Some(cb) = on_window {
+                cb(
+                    i,
+                    WindowProgress {
+                        windows: run.windows,
+                        time_s: run.time_s,
+                        instructions: run.instructions,
+                        max_instructions: ro[i].cfg.max_instructions,
+                        max_time_s: ro[i].cfg.max_time_s,
+                    },
+                );
+            }
         }
     }
 
-    let outs: Vec<CtxOut> = ctxs
-        .into_iter()
-        .map(|c| {
-            let AnalysisCtx {
-                analyzer,
-                records,
-                sev_series,
-                census,
-                tuh,
-                last_frame,
-                last_instructions,
-                ..
-            } = c;
-            CtxOut {
-                analyzer,
-                records,
-                sev_series,
-                census,
-                tuh,
-                last_frame,
-                last_instructions,
-            }
-        })
-        .collect();
+    // Ends the analysis contexts' borrows of `ro` before its parts move out.
+    let outs: Vec<LaneOut> = ctxs.into_iter().map(|c| c.out).collect();
 
     let mut results = Vec::with_capacity(k);
     for (((r, lane), mut out), run) in ro.into_iter().zip(lanes).zip(outs).zip(runs) {
@@ -1329,7 +1035,7 @@ pub(crate) fn run_batch_with_analyzers(
             run.instructions
         };
         let final_frame = if stopped {
-            // hotgauge-lint: allow(L001, "tuh is only set by AnalysisCtx::process, which stores last_frame in the same match arm before returning false")
+            // hotgauge-lint: allow(L001, "tuh is only set by AnalysisCtx::process, which stores last_frame in the same call before returning false")
             out.last_frame.take().expect("stopping substep has a frame")
         } else {
             lane.thermal.die_frame()
@@ -1429,8 +1135,8 @@ fn produce_window(
     }
 }
 
-/// One analyzed substep handed from the producer to the analysis stage.
-struct SubstepMsg {
+/// One solved substep, handed to the lane's analysis.
+struct Substep {
     frame: ThermalFrame,
     /// Frame max, tracked during extraction (drives the prefilter and the
     /// record's `max_temp_c`).
@@ -1438,54 +1144,93 @@ struct SubstepMsg {
     time_s: f64,
     power_w: f64,
     ipc: f64,
-    /// Producer instruction counter at this substep's window.
+    /// The lane's instruction counter at this substep's window.
     instructions: u64,
 }
 
-/// The analysis side of the pipeline: everything the per-substep metrics
-/// block reads and accumulates, so it can run inline or on the overlap
-/// worker with identical results.
-struct AnalysisCtx<'a> {
+/// The owned accumulators of one lane's analysis, kept apart from the
+/// borrowed model parts so they outlive them when the run ends.
+struct LaneOut {
     analyzer: FrameAnalyzer,
-    cfg: &'a SimConfig,
-    fp: &'a Floorplan,
-    grid: &'a FloorplanGrid,
-    track_idx: &'a [usize],
-    prefilter: bool,
     records: Vec<StepRecord>,
     sev_series: TimeSeries,
     census: HotspotCensus,
     tuh: Option<f64>,
     /// The last analyzed frame (the stopping frame in TUH mode).
     last_frame: Option<ThermalFrame>,
-    /// Producer instruction counter at the last analyzed substep.
+    /// The lane's instruction counter at the last analyzed substep.
     last_instructions: u64,
-    /// Hands analyzed frames back to the producer for storage reuse. With
-    /// the depth-2 channel this gives the pipeline its second (and third)
-    /// state buffer: the producer extracts substep `t + 2` into the buffer
-    /// the analyzer retired at substep `t`, so steady-state overlap
-    /// allocates no frames at all.
-    recycle: Option<std::sync::mpsc::Sender<ThermalFrame>>,
+    /// The frame analyzed before `last_frame`, retired for storage reuse:
+    /// the next substep's frame is extracted into it, so a run allocates
+    /// frames only for its first two substeps. Extraction overwrites every
+    /// value, so results are bit-identical to fresh allocation.
+    spare: Option<ThermalFrame>,
 }
 
-impl AnalysisCtx<'_> {
+/// The analysis side of one lane: everything the per-substep metrics block
+/// reads and accumulates.
+struct AnalysisCtx<'a> {
+    cfg: &'a SimConfig,
+    fp: &'a Floorplan,
+    grid: &'a FloorplanGrid,
+    track_idx: &'a [usize],
+    prefilter: bool,
+    out: LaneOut,
+}
+
+impl<'a> AnalysisCtx<'a> {
+    /// A fresh context, re-targeting `analyzer` at the lane's parameters.
+    fn new(
+        cfg: &'a SimConfig,
+        fp: &'a Floorplan,
+        grid: &'a FloorplanGrid,
+        track_idx: &'a [usize],
+        mut analyzer: FrameAnalyzer,
+    ) -> Self {
+        analyzer.reconfigure(cfg.detect, cfg.severity, cfg.analysis.threads);
+        // The prefilter records zeros for MLTD/severity on provably
+        // hotspot-free substeps, so it only engages where those fields are
+        // never consumed: stop-at-first-hotspot (TUH) runs without per-unit
+        // severity tracking. The TUH itself is exact either way — a frame
+        // whose max is at or below `T_th` cannot contain a hotspot.
+        let prefilter = cfg.analysis.prefilter && cfg.stop_at_first_hotspot && track_idx.is_empty();
+        Self {
+            cfg,
+            fp,
+            grid,
+            track_idx,
+            prefilter,
+            out: LaneOut {
+                analyzer,
+                records: Vec::new(),
+                sev_series: TimeSeries::default(),
+                census: HotspotCensus::new(),
+                tuh: None,
+                last_frame: None,
+                last_instructions: 0,
+                spare: None,
+            },
+        }
+    }
+
     /// Analyzes one substep and appends its record. Returns `false` when a
     /// stop-at-first-hotspot run must end at this substep.
-    fn process(&mut self, msg: SubstepMsg) -> bool {
-        let SubstepMsg {
+    fn process(&mut self, sub: Substep) -> bool {
+        let Substep {
             frame,
             frame_max,
             time_s,
             power_w,
             ipc,
             instructions,
-        } = msg;
-        let analysis = self
+        } = sub;
+        let out = &mut self.out;
+        let analysis = out
             .analyzer
             .analyze_with_max(&frame, frame_max, self.prefilter);
-        self.census.record(&analysis.hotspots, self.grid, self.fp);
-        if self.tuh.is_none() && !analysis.hotspots.is_empty() {
-            self.tuh = Some(time_s);
+        out.census.record(&analysis.hotspots, self.grid, self.fp);
+        if out.tuh.is_none() && !analysis.hotspots.is_empty() {
+            out.tuh = Some(time_s);
         }
 
         // Candidate cells clear the temperature threshold before the
@@ -1506,7 +1251,7 @@ impl AnalysisCtx<'_> {
             .track_idx
             .iter()
             .map(|&u| {
-                let mltd = self.analyzer.mltd();
+                let mltd = out.analyzer.mltd();
                 self.grid.coverage[u]
                     .iter()
                     .map(|&(cell, _)| self.cfg.severity.severity(frame.temps[cell], mltd[cell]))
@@ -1519,8 +1264,8 @@ impl AnalysisCtx<'_> {
             counts
         });
 
-        self.sev_series.push(time_s, analysis.peak_severity);
-        self.records.push(StepRecord {
+        out.sev_series.push(time_s, analysis.peak_severity);
+        out.records.push(StepRecord {
             time_s,
             max_temp_c: frame_max,
             mean_temp_c: frame.mean(),
@@ -1533,19 +1278,13 @@ impl AnalysisCtx<'_> {
             unit_severity,
             temp_hist,
         });
-        self.last_instructions = instructions;
-        // Retire the previously analyzed frame to the producer; the newest
-        // frame is always kept (it is the stopping frame in TUH mode).
-        if let Some(prev) = self.last_frame.replace(frame) {
-            if let Some(tx) = &self.recycle {
-                // A closed return channel only means the producer is done.
-                let _ = tx.send(prev);
-            }
-        }
-        !(self.cfg.stop_at_first_hotspot && self.tuh.is_some())
+        out.last_instructions = instructions;
+        // The newest frame is always kept (it is the stopping frame in TUH
+        // mode); the one before it becomes the spare.
+        out.spare = out.last_frame.replace(frame);
+        !(self.cfg.stop_at_first_hotspot && out.tuh.is_some())
     }
 }
-
 /// Fig. 2: per-cell ΔT over one window, accumulated into clamped edge bins.
 fn accumulate_deltas(
     h: &HistSpec,
@@ -1793,6 +1532,56 @@ mod tests {
         }
     }
 
+    /// Runs `cfg` with a window callback and returns the result plus every
+    /// report the callback saw, in order.
+    fn run_reporting(cfg: SimConfig) -> (RunResult, Vec<WindowProgress>) {
+        let seen = std::cell::RefCell::new(Vec::new());
+        let cb = |p: WindowProgress| seen.borrow_mut().push(p);
+        let r = CoSimulation::new(cfg).run_with_progress(Some(&cb));
+        (r, seen.into_inner())
+    }
+
+    #[test]
+    fn run_with_progress_reports_each_window_once() {
+        let mut cfg = quick_cfg();
+        cfg.substeps = 2;
+        let want = run_sim(cfg.clone());
+        let (got, seen) = run_reporting(cfg.clone());
+        assert_same_result(&got, &want);
+        assert_eq!(seen.len(), want.records.len() / cfg.substeps);
+        for (n, p) in seen.iter().enumerate() {
+            assert_eq!(p.windows, n as u64 + 1);
+            assert_eq!(p.max_instructions, cfg.max_instructions);
+            assert_eq!(p.max_time_s, cfg.max_time_s);
+        }
+        for pair in seen.windows(2) {
+            assert!(pair[1].time_s >= pair[0].time_s);
+            assert!(pair[1].instructions >= pair[0].instructions);
+        }
+        let last = seen.last().unwrap();
+        assert_eq!(last.time_s, want.records.last().unwrap().time_s);
+        assert_eq!(last.instructions, want.total_instructions);
+    }
+
+    #[test]
+    fn run_with_progress_skips_the_window_a_stop_cuts_short() {
+        // A stop-at-first-hotspot run reports only the windows it completed:
+        // the window holding the stopping substep is never reported, even
+        // when the stop lands on its last substep.
+        let mut cfg = quick_cfg();
+        cfg.substeps = 2;
+        cfg.stop_at_first_hotspot = true;
+        cfg.detect.t_threshold_c = 48.0;
+        cfg.detect.mltd_threshold_c = 0.05;
+        let (got, seen) = run_reporting(cfg.clone());
+        assert_same_result(&got, &run_sim(cfg.clone()));
+        assert!(got.tuh_s.is_some(), "test premise: the run must stop");
+        assert_eq!(seen.len(), (got.records.len() - 1) / cfg.substeps);
+        for (n, p) in seen.iter().enumerate() {
+            assert_eq!(p.windows, n as u64 + 1);
+        }
+    }
+
     /// Full bitwise equality of two runs (every field `PartialEq` offers).
     fn assert_same_result(a: &RunResult, b: &RunResult) {
         assert_eq!(a.records, b.records);
@@ -1805,7 +1594,7 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_run_reproduces_serial_run_exactly() {
+    fn analysis_threads_never_change_a_run() {
         let mut serial = quick_cfg();
         serial.track_units = vec!["core0.intRF".into()];
         serial.temp_histogram = Some(HistSpec {
@@ -1818,42 +1607,26 @@ mod tests {
             hi: 2.0,
             bins: 16,
         });
-        let mut overlapped = serial.clone();
-        serial.analysis = AnalysisConfig {
-            threads: 1,
-            overlap: false,
-            prefilter: true,
-        };
-        overlapped.analysis = AnalysisConfig {
-            threads: 2,
-            overlap: true,
-            prefilter: true,
-        };
-        assert_same_result(&run_sim(serial), &run_sim(overlapped));
+        let mut sharded = serial.clone();
+        serial.analysis.threads = 1;
+        sharded.analysis.threads = 2;
+        assert_same_result(&run_sim(serial), &run_sim(sharded));
     }
 
     #[test]
-    fn overlapped_stop_mode_matches_serial_including_early_stop() {
-        // Thresholds low enough that a hotspot fires mid-run, so the overlap
-        // worker must stop the producer and the result must still match the
-        // serial schedule bit for bit (frame, instruction count, records).
+    fn analysis_threads_never_change_an_early_stop() {
+        // Thresholds low enough that a hotspot fires mid-run: the stopping
+        // substep, its frame and instruction count, and every record must
+        // match bit for bit at one and at two analysis threads.
         let mut serial = quick_cfg();
         serial.stop_at_first_hotspot = true;
         serial.detect.t_threshold_c = 48.0;
         serial.detect.mltd_threshold_c = 0.05;
-        let mut overlapped = serial.clone();
-        serial.analysis = AnalysisConfig {
-            threads: 1,
-            overlap: false,
-            prefilter: true,
-        };
-        overlapped.analysis = AnalysisConfig {
-            threads: 2,
-            overlap: true,
-            prefilter: true,
-        };
+        let mut sharded = serial.clone();
+        serial.analysis.threads = 1;
+        sharded.analysis.threads = 2;
         let rs = run_sim(serial);
-        let ro = run_sim(overlapped);
+        let rp = run_sim(sharded);
         assert!(
             rs.tuh_s.is_some(),
             "test premise: the lowered thresholds must trip a hotspot"
@@ -1862,7 +1635,7 @@ mod tests {
             rs.records.len() < 10,
             "test premise: the stop must happen before the horizon"
         );
-        assert_same_result(&rs, &ro);
+        assert_same_result(&rs, &rp);
     }
 
     #[test]
@@ -1875,8 +1648,6 @@ mod tests {
         let mut off = on.clone();
         on.analysis.prefilter = true;
         off.analysis.prefilter = false;
-        off.analysis.overlap = false;
-        on.analysis.overlap = false;
         let r_on = run_sim(on);
         let r_off = run_sim(off);
         assert_eq!(r_on.tuh_s, r_off.tuh_s);
@@ -2064,6 +1835,74 @@ mod tests {
             rejection(|c| c.sample_instrs = 0),
             Some(ConfigError::ZeroSampleInstrs)
         );
+    }
+
+    #[test]
+    fn grid_cells_matches_the_built_thermal_grid() {
+        for (cell_um, border_mm, ic) in [(300.0, 4.0, 1.0), (250.0, 0.0, 1.7), (130.0, 1.3, 3.0)] {
+            let cfg = SimConfig {
+                cell_um,
+                border_mm,
+                ic_area_factor: ic,
+                ..quick_cfg()
+            };
+            let grid = FloorplanGrid::rasterize(&build_floorplan(&cfg), cfg.cell_um);
+            let stack = StackDescription::client_cpu_with_border(
+                grid.nx,
+                grid.ny,
+                cfg.cell_um,
+                cfg.border_mm * units::M_PER_MM,
+            );
+            assert_eq!(grid_cells(&cfg), (stack.nx() * stack.ny()) as f64);
+        }
+    }
+
+    #[test]
+    fn grid_budget_admits_every_configuration_the_repo_runs() {
+        // The paper's 100 µm cells (the finest any experiment uses) at the
+        // default border, on every node, at every §V-B IC area factor, with
+        // and without the §V-A unit scalings.
+        let scalings = [
+            vec![],
+            vec![(UnitKind::FpIWin, 10.0)],
+            vec![(UnitKind::FpRf, 10.0)],
+            vec![(UnitKind::IntRat, 10.0), (UnitKind::FpRat, 10.0)],
+        ];
+        let mut worst = 0.0f64;
+        for node in [TechNode::N14, TechNode::N10, TechNode::N7, TechNode::N5] {
+            for ic in [1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0] {
+                for scales in &scalings {
+                    let cfg = SimConfig {
+                        ic_area_factor: ic,
+                        unit_scales: scales.clone(),
+                        ..SimConfig::new(node, "gcc").paper_fidelity()
+                    };
+                    assert_eq!(check_config(&cfg), Ok(()));
+                    worst = worst.max(grid_cells(&cfg));
+                }
+            }
+        }
+        assert!(worst * 4.0 < MAX_GRID_CELLS as f64, "worst grid {worst}");
+        let fine = SimConfig {
+            cell_um: 50.0,
+            ..SimConfig::new(TechNode::N14, "gcc")
+        };
+        assert_eq!(check_config(&fine), Ok(()));
+    }
+
+    #[test]
+    fn grid_beyond_the_cell_budget_is_rejected() {
+        for edit in [
+            (|c: &mut SimConfig| c.cell_um = 1e-9) as fn(&mut SimConfig),
+            |c| c.cell_um = 5.0,
+            |c| c.border_mm = 1e6,
+            |c| c.ic_area_factor = 1e9,
+            |c| c.unit_scales = vec![(UnitKind::L2, 1e12)],
+        ] {
+            assert!(
+                matches!(rejection(edit), Some(ConfigError::GridTooLarge(cells)) if cells > MAX_GRID_CELLS as f64)
+            );
+        }
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! of up to [`DEFAULT_BATCH_WIDTH`] runs, and each batch advances through
 //! one [`crate::pipeline::BatchedCoSim`]-style driver whose multi-RHS
 //! thermal solves stream the shared backward-Euler matrix once per substep
-//! for the whole batch. Leftover chunks of one job — stragglers of a group,
-//! or geometries that appear only once — take the classic per-run path.
+//! for the whole batch. A chunk of one job — a straggler of a group, or a
+//! geometry that appears only once — is a one-lane batch: every run goes
+//! through the same stepping loop.
 //!
 //! The core model is shared too. Each sweep owns one set of **activity
 //! traces** (see [`crate::activity_trace`]): a workload stream's per-window
@@ -33,8 +34,7 @@
 //! windows, which is exact.
 //!
 //! Results are **order-preserving and bit-identical** to running each
-//! config through [`crate::pipeline::run_sim`] serially (with the sweep's
-//! serial-forcing rule applied to `AnalysisConfig`): the scheduler only
+//! config through [`crate::pipeline::run_sim`] serially: the scheduler only
 //! decides *where and how wide* a run executes — arena recycling restores
 //! exactly the fresh-construction state and the lockstep solver applies
 //! each lane's arithmetic in single-RHS element order
@@ -44,16 +44,12 @@
 //! finished runs (always equal), `sweep.steal` counts cross-worker steals
 //! (≤ work items), `sweep.arena_reuse` counts geometry-cache hits,
 //! `sweep.queue_depth` samples the injector backlog at each chunk grab,
-//! `sweep.donations` counts workers that retired from the all-empty scan
-//! and donated their thread to the in-flight runs' triangular-solve shards,
 //! and `solver.batch_width` / `solver.lockstep_runs` record the widths of
-//! scheduled lockstep batches and the runs executed through them; the
-//! whole pool runs under a `sweep.executor` span.
+//! scheduled lockstep batches of two or more lanes and the runs executed
+//! through them; the whole pool runs under a `sweep.executor` span.
 
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use hotgauge_telemetry::{counter, span};
 use hotgauge_thermal::MAX_LOCKSTEP_WIDTH;
@@ -79,18 +75,13 @@ pub const DEFAULT_BATCH_WIDTH: usize = 8;
 /// Per-worker scratch arena: recycled geometry-keyed model parts plus one
 /// reusable frame analyzer. Owned by exactly one worker, so no locking.
 ///
-/// Runs executed through [`run_sim_in`] are bit-identical whether the arena
+/// Runs executed through [`run_batch_in`] are bit-identical whether the arena
 /// is fresh or dirty — recycling only skips rebuilding state that is a pure
 /// function of the config's geometry (see [`geom_key`]).
 pub struct SweepArena {
     /// FIFO of `(geometry key, parts)`; linear scan (≤ 8 entries).
     geoms: Vec<(String, GeomParts)>,
     analyzer: Option<FrameAnalyzer>,
-    /// Pool-shared count of retired (donated) workers; installed on every
-    /// run's thermal solver so the runs still in flight when the backlog
-    /// drains can widen their triangular-solve shards by that many threads
-    /// (see [`run_many_batched_with`]).
-    donated: Option<Arc<AtomicUsize>>,
 }
 
 impl SweepArena {
@@ -99,16 +90,6 @@ impl SweepArena {
         Self {
             geoms: Vec::new(),
             analyzer: None,
-            donated: None,
-        }
-    }
-
-    /// An empty arena wired to a pool's donation counter.
-    fn with_donated(donated: Arc<AtomicUsize>) -> Self {
-        Self {
-            geoms: Vec::new(),
-            analyzer: None,
-            donated: Some(donated),
         }
     }
 
@@ -167,55 +148,21 @@ pub(crate) fn geom_key(cfg: &SimConfig) -> String {
     key
 }
 
-/// [`crate::pipeline::run_sim`] executing inside an arena: same-geometry
-/// model parts and the frame analyzer are recycled from (and returned to)
-/// `arena`. Bit-identical to `run_sim(cfg)` for any arena state.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid, like `run_sim` /
-/// [`CoSimulation::new`] (user-input paths validate through
-/// [`CoSimulation::try_new`] first).
-pub fn run_sim_in(cfg: SimConfig, arena: &mut SweepArena) -> RunResult {
-    run_sim_traced(cfg, arena, &TraceSet::default())
-}
-
-/// [`run_sim_in`] reading its activity traces from `traces`.
-fn run_sim_traced(cfg: SimConfig, arena: &mut SweepArena, traces: &TraceSet) -> RunResult {
-    let key = geom_key(&cfg);
-    let (detect, severity, threads) = (cfg.detect, cfg.severity, cfg.analysis.threads);
-    let geom = arena.take_geom(&key);
-    if geom.is_some() {
-        counter!("sweep.arena_reuse", 1);
-    }
-    let mut sim = CoSimulation::try_new_in(cfg, geom, traces)
-        // hotgauge-lint: allow(L001, "programmatic entry point mirroring run_sim/CoSimulation::new; user-input paths validate through try_new and exit 2")
-        .unwrap_or_else(|e| panic!("invalid simulation config: {e}"));
-    sim.thermal_mut().set_donated_workers(arena.donated.clone());
-    let analyzer = arena
-        .analyzer
-        .take()
-        .unwrap_or_else(|| FrameAnalyzer::new(detect, severity, threads));
-    let (result, analyzer, parts) = sim.run_with_analyzer(analyzer, None);
-    arena.analyzer = Some(analyzer);
-    arena.store_geom(key, parts);
-    result
-}
-
 /// Runs a batch of same-[`geom_key`] configurations in lockstep inside an
-/// arena: lane 0 recycles the arena's cached geometry (or builds it), the
-/// remaining lanes clone lane 0's parts — sharing the prepared backward-Euler
-/// matrix — and all lanes advance through the multi-RHS solver together.
-/// Lanes of one workload stream read one activity trace, so its core model
-/// runs once. Each result is bit-identical to `run_sim` of that
-/// configuration. `on_lane_done` fires with the lane index as each lane
-/// finishes.
+/// arena: lane 0 recycles the arena's cached geometry (or builds it) and
+/// analyzer, the remaining lanes clone lane 0's parts — sharing the prepared
+/// backward-Euler matrix — and all lanes advance through the multi-RHS
+/// solver together. Lanes of one workload stream read one activity trace,
+/// so its core model runs once. Each result is bit-identical to `run_sim`
+/// of that configuration, for any arena state; a one-config batch is
+/// `run_sim` inside an arena. `on_lane_done` fires with the lane index as
+/// each lane finishes.
 ///
 /// # Panics
 ///
 /// Panics if `cfgs` is empty, wider than [`MAX_LOCKSTEP_WIDTH`], or invalid,
-/// like [`run_sim_in`] (user-input paths validate through
-/// [`CoSimulation::try_new`] first).
+/// like `run_sim` / [`CoSimulation::new`] (user-input paths validate
+/// through [`CoSimulation::try_new`] first).
 pub fn run_batch_in(
     cfgs: Vec<SimConfig>,
     arena: &mut SweepArena,
@@ -252,10 +199,9 @@ fn run_batch_traced(
                 g
             }
         };
-        let mut sim = CoSimulation::try_new_in(cfg, geom, traces)
+        let sim = CoSimulation::try_new_in(cfg, geom, traces)
             // hotgauge-lint: allow(L001, "programmatic entry point mirroring run_sim/CoSimulation::new; user-input paths validate through try_new and exit 2")
             .unwrap_or_else(|e| panic!("invalid simulation config: {e}"));
-        sim.thermal_mut().set_donated_workers(arena.donated.clone());
         lanes.push(sim);
     }
     let analyzers: Vec<FrameAnalyzer> = lanes
@@ -269,9 +215,12 @@ fn run_batch_traced(
             })
         })
         .collect();
-    counter!("solver.batch_width", lanes.len());
-    counter!("solver.lockstep_runs", lanes.len());
-    let outs = run_batch_with_analyzers(lanes, analyzers, on_lane_done);
+    // A lone lane steps solo; only wider batches solve in lockstep.
+    if lanes.len() > 1 {
+        counter!("solver.batch_width", lanes.len());
+        counter!("solver.lockstep_runs", lanes.len());
+    }
+    let outs = run_batch_with_analyzers(lanes, analyzers, on_lane_done, None);
     let mut results = Vec::with_capacity(outs.len());
     for (l, (result, analyzer, parts)) in outs.into_iter().enumerate() {
         if l == 0 {
@@ -341,7 +290,7 @@ pub fn run_many_with(
 /// jobs are grouped (first-seen key order), ordered by activity trace
 /// within the group, and solved up to `batch` at a time through
 /// [`run_batch_in`]; `batch <= 1` disables batching and runs
-/// every job through the classic per-run path. The width is clamped to
+/// every job as a one-lane batch. The width is clamped to
 /// [`MAX_LOCKSTEP_WIDTH`]. The batch width never changes any result — only
 /// how many runs share each thermal solve. Every run of the sweep reads its
 /// core activity from one trace set, so each distinct trace is simulated
@@ -360,11 +309,11 @@ pub fn run_many_batched_with(
     counter!("sweep.jobs", n);
     let requested = resolved_threads(threads);
     // Serial-forcing rule: sweep workers already saturate the machine, so
-    // per-run analysis threads and the overlap worker would only
-    // oversubscribe it. Keyed on the requested thread budget — not the
-    // realized pool width — so a single-job sweep at `--threads 8` reports
-    // the same (serial-forced) `AnalysisConfig` in its `RunResult` as it
-    // always has. Results are identical either way.
+    // per-run analysis threads would only oversubscribe it. Keyed on the
+    // requested thread budget — not the realized pool width — so a
+    // single-job sweep at `--threads 8` reports the same (serial-forced)
+    // `AnalysisConfig` in its `RunResult` as it always has. Results are
+    // identical either way.
     let force_serial = requested > 1;
     let batch = batch.clamp(1, MAX_LOCKSTEP_WIDTH);
 
@@ -395,28 +344,18 @@ pub fn run_many_batched_with(
             }
         };
         let _run = span!("sweep.run");
-        if let [i] = *item {
-            let mut cfg = cfgs_ref[i].clone();
-            if force_serial {
-                cfg.analysis = cfg.analysis.serial();
-            }
-            let r = run_sim_traced(cfg, arena, &traces);
-            lane_done(0);
-            vec![(i, r)]
-        } else {
-            let batch_cfgs: Vec<SimConfig> = item
-                .iter()
-                .map(|&i| {
-                    let mut cfg = cfgs_ref[i].clone();
-                    if force_serial {
-                        cfg.analysis = cfg.analysis.serial();
-                    }
-                    cfg
-                })
-                .collect();
-            let rs = run_batch_traced(batch_cfgs, arena, &traces, Some(&lane_done));
-            item.iter().copied().zip(rs).collect()
-        }
+        let batch_cfgs: Vec<SimConfig> = item
+            .iter()
+            .map(|&i| {
+                let mut cfg = cfgs_ref[i].clone();
+                if force_serial {
+                    cfg.analysis = cfg.analysis.serial();
+                }
+                cfg
+            })
+            .collect();
+        let rs = run_batch_traced(batch_cfgs, arena, &traces, Some(&lane_done));
+        item.iter().copied().zip(rs).collect()
     };
 
     let mut results: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
@@ -449,22 +388,13 @@ pub fn run_many_batched_with(
         let results_mutex = parking_lot::Mutex::new(&mut results);
         let items_ref = &items;
         let run_item_ref = &run_item;
-        // Worker donation: a worker whose all-empty scan finds no job left
-        // retires — every remaining run is already claimed — and bumps this
-        // counter on its way out. Each in-flight run's thermal solver reads
-        // the counter at solve time and widens its triangular-solve shard
-        // budget by that many threads, so the runs on the critical path
-        // inherit the pool's idle capacity instead of leaving it parked.
-        // Purely a thread-budget transfer: results are bit-identical.
-        let donated = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|scope| {
             for me in 0..workers {
                 let injector = &injector;
                 let locals = &locals;
                 let results_mutex = &results_mutex;
-                let donated = Arc::clone(&donated);
                 scope.spawn(move || {
-                    let mut arena = SweepArena::with_donated(Arc::clone(&donated));
+                    let mut arena = SweepArena::new();
                     while let Some(it) = next_job(me, injector, locals) {
                         let out = run_item_ref(&items_ref[it], &mut arena);
                         let mut slots = results_mutex.lock();
@@ -472,8 +402,6 @@ pub fn run_many_batched_with(
                             slots[i] = Some(r);
                         }
                     }
-                    donated.fetch_add(1, Ordering::Relaxed);
-                    counter!("sweep.donations", 1);
                 });
             }
         });
@@ -490,9 +418,8 @@ pub fn run_many_batched_with(
 /// order), then within a geometry by [`TraceKey`] (first-seen order), and
 /// only then chunk into batches of up to `batch`, so the readers of one
 /// trace are adjacent and share a batch — keeping its core alive — unless a
-/// chunk boundary cuts them. Chunks of one job take the per-run path. With
-/// `batch == 1` every job is its own item, in input order — the classic
-/// executor.
+/// chunk boundary cuts them. With `batch == 1` every job is its own item,
+/// in input order.
 fn work_items(cfgs: &[SimConfig], batch: usize) -> Vec<Vec<usize>> {
     if batch == 1 {
         return (0..cfgs.len()).map(|i| vec![i]).collect();
@@ -577,6 +504,11 @@ mod tests {
         c
     }
 
+    /// One config through [`run_batch_in`]: `run_sim` inside `arena`.
+    fn run_in(cfg: SimConfig, arena: &mut SweepArena) -> RunResult {
+        run_batch_in(vec![cfg], arena, None).remove(0)
+    }
+
     #[test]
     fn empty_batch_returns_cleanly_for_any_thread_count() {
         for threads in [0, 1, 7] {
@@ -601,7 +533,6 @@ mod tests {
             // The serial-forcing rule keys on the requested budget (8 > 1)
             // even though only two workers exist.
             assert_eq!(r.config.analysis.threads, 1);
-            assert!(!r.config.analysis.overlap);
         }
     }
 
@@ -631,12 +562,12 @@ mod tests {
     #[test]
     fn arena_reuse_is_bitwise_identical_to_fresh_runs() {
         let mut arena = SweepArena::new();
-        let a1 = run_sim_in(quick_cfg("hmmer"), &mut arena);
+        let a1 = run_in(quick_cfg("hmmer"), &mut arena);
         assert_eq!(arena.cached_geometries(), 1);
         // Second run hits the cached geometry; reference comes from a
         // fresh arena (= fresh construction).
-        let a2 = run_sim_in(quick_cfg("povray"), &mut arena);
-        let b2 = run_sim_in(quick_cfg("povray"), &mut SweepArena::new());
+        let a2 = run_in(quick_cfg("povray"), &mut arena);
+        let b2 = run_in(quick_cfg("povray"), &mut SweepArena::new());
         assert_eq!(a2.records, b2.records);
         assert_eq!(a2.final_frame, b2.final_frame);
         assert_eq!(a2.sev_series, b2.sev_series);
@@ -651,7 +582,7 @@ mod tests {
             let mut c = quick_cfg("hmmer");
             c.cell_um = 300.0 + 10.0 * i as f64; // distinct geometry each
             c.max_time_s = 2e-4;
-            run_sim_in(c, &mut arena);
+            run_in(c, &mut arena);
         }
         assert_eq!(arena.cached_geometries(), MAX_ARENA_GEOMETRIES);
     }
@@ -801,7 +732,7 @@ mod tests {
         let cfgs = vec![quick_cfg("hmmer"), quick_cfg("povray")];
         let want: Vec<RunResult> = cfgs
             .iter()
-            .map(|c| run_sim_in(c.clone(), &mut SweepArena::new()))
+            .map(|c| run_in(c.clone(), &mut SweepArena::new()))
             .collect();
         let got = run_batch_in(cfgs.clone(), &mut arena, None);
         assert_eq!(

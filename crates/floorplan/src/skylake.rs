@@ -201,19 +201,43 @@ impl SkylakeProxy {
         ])
     }
 
-    /// Builds the floorplan.
-    pub fn build(&self) -> Floorplan {
-        let tree = self.core_tree();
-        // Core area grows with any unit scaling (total weight / base weight).
+    /// Core width and height (mm) for a core laid out from `tree`: the core
+    /// area grows with any unit scaling (total weight / base weight).
+    fn core_size(&self, tree: &LayoutNode) -> (f64, f64) {
         let base_weight: f64 = CORE_UNIT_WEIGHTS.iter().map(|(_, w)| w).sum();
         let core_area =
             CORE_AREA_14NM_MM2 * self.node.area_scale_from_14() * tree.total_weight() / base_weight;
         let core_h = (core_area / CORE_ASPECT).sqrt();
-        let core_w = core_area / core_h;
+        (core_area / core_h, core_h)
+    }
+
+    /// The die outline [`SkylakeProxy::build`] produces, IC area factor
+    /// included, computed without laying out a single unit — what a
+    /// grid-size budget needs to know before anything is rasterized.
+    pub fn die(&self) -> Rect {
+        let (core_w, core_h) = self.core_size(&self.core_tree());
+        let die = Rect::new(
+            0.0,
+            0.0,
+            3.0 * core_w,
+            3.0 * core_h + 0.35 * core_h + 0.25 * core_h,
+        );
+        if self.ic_area_factor > 1.0 {
+            die.scaled(self.ic_area_factor.sqrt())
+        } else {
+            die
+        }
+    }
+
+    /// Builds the floorplan.
+    pub fn build(&self) -> Floorplan {
+        let tree = self.core_tree();
+        let (core_w, core_h) = self.core_size(&tree);
 
         // Fixed 3-row / 3-column client layout. Left and right columns are
         // core-wide; the middle column is core-wide as well (core 3 keeps its
-        // shape) with L3 slices filling the rest of its height.
+        // shape) with L3 slices filling the rest of its height. Keep the die
+        // arithmetic in step with `die()`.
         let main_h = 3.0 * core_h;
         let die_w = 3.0 * core_w;
         let sa_h = 0.35 * core_h;
@@ -382,6 +406,21 @@ mod tests {
         }
         let c3 = fp.core_bbox(3).unwrap();
         assert!((c3.center().x - die_mid).abs() < c3.w / 2.0);
+    }
+
+    #[test]
+    fn die_matches_the_built_floorplan() {
+        for node in [TechNode::N14, TechNode::N10, TechNode::N7, TechNode::N5] {
+            for b in [
+                SkylakeProxy::new(node),
+                SkylakeProxy::new(node).ic_area_factor(2.5),
+                SkylakeProxy::new(node)
+                    .scale_unit(UnitKind::IntRat, 10.0)
+                    .scale_unit(UnitKind::FpRat, 10.0),
+            ] {
+                assert_eq!(b.die(), b.build().die);
+            }
+        }
     }
 
     #[test]

@@ -184,7 +184,6 @@ const L010_COUNTER_SUFFIXES: &[&str] = &[
     "hits",
     "dropped",
     "completed",
-    "donated",
 ];
 
 /// Run every applicable rule over one scanned+lexed file. The L012

@@ -370,8 +370,30 @@ mod tests {
         req.ms = None;
         req.ic_area = Some(0.5);
         assert!(request_config(&req, &fid).is_err());
+        // Valid on its own, but the grid would blow the cell budget.
+        req.ic_area = Some(1e9);
+        assert!(request_config(&req, &fid).is_err());
         req.ic_area = None;
         assert!(request_config(&req, &fid).is_ok());
+    }
+
+    #[test]
+    fn oversized_grid_request_is_answered_with_an_error_row() {
+        let root = std::env::temp_dir().join(format!(
+            "hotgauge-service-{}-grid-budget",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut store = ResultStore::open(&root).unwrap();
+        let opts = ServeOptions::from_fidelity(Fidelity::fast());
+        let input = "{\"benchmark\":\"gcc\",\"ic_area\":1e9}\n";
+        let mut out = Vec::new();
+        let summary = serve(input.as_bytes(), &mut out, &mut store, &opts, None).unwrap();
+        assert_eq!((summary.batches, summary.rows, summary.rejected), (0, 0, 1));
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.lines().count(), 1);
+        assert!(text.contains("\"error\"") && text.contains("exceeds the budget"));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

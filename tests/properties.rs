@@ -309,7 +309,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn overlapped_cosim_reproduces_serial_run_exactly(
+    fn analysis_threads_never_change_a_cosim_run(
         seed in 0u64..64,
         bench in prop::sample::select(vec!["hmmer", "povray", "gcc"]),
     ) {
@@ -321,11 +321,11 @@ proptest! {
         serial.max_time_s = 1e-3;
         serial.seed = seed;
         serial.warmup = Warmup::Cold;
-        serial.analysis = AnalysisConfig { threads: 1, overlap: false, prefilter: true };
-        let mut overlapped = serial.clone();
-        overlapped.analysis = AnalysisConfig { threads: 2, overlap: true, prefilter: true };
+        serial.analysis = AnalysisConfig { threads: 1, prefilter: true };
+        let mut sharded = serial.clone();
+        sharded.analysis = AnalysisConfig { threads: 2, prefilter: true };
         let a = run_sim(serial);
-        let b = run_sim(overlapped);
+        let b = run_sim(sharded);
         prop_assert_eq!(&a.records, &b.records);
         prop_assert_eq!(a.tuh_s, b.tuh_s);
         prop_assert_eq!(&a.census, &b.census);

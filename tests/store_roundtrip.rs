@@ -244,7 +244,7 @@ fn golden_value_key_is_pinned() {
 fn golden_run_key_is_pinned() {
     assert_eq!(
         run_key(&pinned_cfg()).as_hex(),
-        "521f003a2db7132dadad30db7ea2636a"
+        "dcb12a4d5d4468e9f523605b730a3745"
     );
 }
 

@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use hotgauge_core::analysis::AnalysisConfig;
 use hotgauge_core::experiments::Fidelity;
 use hotgauge_core::pipeline::{run_many, run_sim, RunResult, SimConfig};
-use hotgauge_core::{run_many_batched_with, run_sim_in, SweepArena};
+use hotgauge_core::{run_batch_in, run_many_batched_with, SweepArena};
 use hotgauge_floorplan::tech::TechNode;
 use hotgauge_store::{
     run_many_keyed_with, run_many_stored_with, serve, DeltaBasis, ResultStore, RunSource,
@@ -85,7 +85,6 @@ fn cfg_from_entropy(bits: u64) -> SimConfig {
     c.substeps = 1 + ((bits >> 13) % 2) as usize;
     c.analysis = AnalysisConfig {
         threads: 2,
-        overlap: (bits >> 15) & 1 == 1,
         prefilter: true,
     };
     // Triangular-sweep shard budget: results are bit-identical at every
@@ -187,9 +186,9 @@ proptest! {
         let cfgs: Vec<SimConfig> = entropy.into_iter().map(cfg_from_entropy).collect();
         let mut arena = SweepArena::new();
         for cfg in cfgs {
-            let dirty = run_sim_in(cfg.clone(), &mut arena);
-            let fresh = run_sim_in(cfg, &mut SweepArena::new());
-            assert_same_run(&dirty, &fresh);
+            let dirty = run_batch_in(vec![cfg.clone()], &mut arena, None);
+            let fresh = run_batch_in(vec![cfg], &mut SweepArena::new(), None);
+            assert_same_run(&dirty[0], &fresh[0]);
         }
     }
 }
