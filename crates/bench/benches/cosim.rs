@@ -8,14 +8,13 @@
 //!   one-off CLI invocation pays.
 //! - `cosim_step` constructs the `CoSimulation` once and clones it per
 //!   iteration, isolating the stepping hot path that dominates long
-//!   horizons; it is benchmarked under both solver strategies.
+//!   horizons.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use hotgauge_core::experiments::Fidelity;
 use hotgauge_core::pipeline::{run_sim, CoSimulation, SimConfig};
 use hotgauge_floorplan::tech::TechNode;
-use hotgauge_thermal::model::SolverStrategy;
 use hotgauge_thermal::warmup::Warmup;
 
 fn bench_cfg(cell: f64) -> SimConfig {
@@ -42,14 +41,10 @@ fn bench_cosim_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("cosim_step");
     group.sample_size(10);
     for (label, cell) in [("fast_250um", 250.0), ("fine_150um", 150.0)] {
-        for solver in [SolverStrategy::DirectCholesky, SolverStrategy::Cg] {
-            let mut cfg = bench_cfg(cell);
-            cfg.solver = solver;
-            let sim = CoSimulation::new(cfg);
-            group.bench_function(format!("gcc_7nm_1ms_{label}_{solver}"), |b| {
-                b.iter(|| sim.clone().run())
-            });
-        }
+        let sim = CoSimulation::new(bench_cfg(cell));
+        group.bench_function(format!("gcc_7nm_1ms_{label}"), |b| {
+            b.iter(|| sim.clone().run())
+        });
     }
     group.finish();
 }

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! hotgauge [--benchmark] <benchmark> [--node 14|10|7|5[nm]] [--core N]
-//!          [--cold] [--ms HORIZON] [--cell UM] [--solver direct|cg]
-//!          [--solver-threads N] [--scale UNIT FACTOR] [--ic-area FACTOR]
+//!          [--cold] [--ms HORIZON] [--cell UM] [--scale UNIT FACTOR]
+//!          [--ic-area FACTOR]
 //!          [--json PATH] [--quiet] [--progress]
 //! ```
 //!
@@ -38,12 +38,7 @@ options:
   --cold             start from ambient instead of the idle-warm state
   --ms HORIZON       simulated horizon in milliseconds
   --cell UM          thermal grid cell size in micrometers
-  --solver WHICH     thermal solver: direct (factor-once Cholesky, falls
-                     back to CG past the profile budget) or cg; default direct
   --threads N        analysis threads (default: all hardware threads;
-                     results are bit-identical for any value)
-  --solver-threads N shards for the direct solver's level-scheduled
-                     triangular sweeps (0 = auto, default 1 = serial;
                      results are bit-identical for any value)
   --scale UNIT F     scale one unit kind's area by F (repeatable)
   --ic-area F        uniform IC area factor
@@ -138,10 +133,6 @@ fn parse_args(args: &[String]) -> Cli {
                     .parse()
                     .unwrap_or_else(|_| fail(format!("invalid cell size {v}")));
             }
-            "--solver" => {
-                let v = flag_value(args, &mut i, "--solver");
-                cfg.solver = v.parse().unwrap_or_else(|e| fail(e));
-            }
             "--threads" => {
                 let v = flag_value(args, &mut i, "--threads");
                 let n = v
@@ -155,14 +146,6 @@ fn parse_args(args: &[String]) -> Cli {
                     });
                 cfg.analysis.threads = n;
                 threads = Some(n);
-            }
-            "--solver-threads" => {
-                let v = flag_value(args, &mut i, "--solver-threads");
-                cfg.solver_threads = v.parse::<usize>().unwrap_or_else(|_| {
-                    fail(format!(
-                        "invalid solver thread count {v} (expected an integer; 0 = auto)"
-                    ))
-                });
             }
             "--scale" => {
                 let unit_label = flag_value(args, &mut i, "--scale").to_owned();
@@ -282,8 +265,6 @@ fn main() {
             .with_config("core", r.config.target_core)
             .with_config("warmup", r.config.warmup.label())
             .with_config("cell_um", r.config.cell_um)
-            .with_config("solver", r.config.solver.as_str())
-            .with_config("solver_threads", r.config.solver_threads)
             .with_config("max_time_s", r.config.max_time_s)
             .with_config("ic_area_factor", r.config.ic_area_factor);
         if let Some(n) = cli.threads {

@@ -1,15 +1,13 @@
-//! Raw sweep timing harness behind `BENCH_sweep.json` / `BENCH_batch.json`
-//! / `BENCH_levels.json`: one fig11-style grid (every SPEC proxy × every
-//! core, one geometry) through `run_many`, printing wall time, the
-//! per-step triangular-sweep time (telemetry builds; 0 when the direct
-//! solver never engages), and the process's peak RSS (`VmHWM` from
-//! `/proc/self/status`; `peak_rss_kb=0` off Linux). The same source is
-//! compiled against the pre-change baseline for the alternating-rounds
-//! comparison.
+//! Raw sweep timing harness behind `BENCH_sweep.json` / `BENCH_batch.json`:
+//! one fig11-style grid (every SPEC proxy × every core, one geometry)
+//! through `run_many`, printing wall time and the process's peak RSS
+//! (`VmHWM` from `/proc/self/status`; `peak_rss_kb=0` off Linux). The same
+//! source is compiled against the pre-change baseline for the
+//! alternating-rounds comparison.
 //!
-//! Usage: `sweep_rounds [THREADS] [BATCH] [CELL_UM] [SOLVER_THREADS]`
-//! (defaults 1, `DEFAULT_BATCH_WIDTH`, 200, 1; `BATCH=1` disables
-//! lockstep batching, `SOLVER_THREADS=0` means one per hardware thread).
+//! Usage: `sweep_rounds [THREADS] [BATCH] [CELL_UM]` (defaults 1,
+//! `DEFAULT_BATCH_WIDTH`, 200; `BATCH=1` runs every job as a one-lane
+//! batch).
 
 use hotgauge_core::pipeline::SimConfig;
 use hotgauge_core::sweep::{run_many_batched_with, DEFAULT_BATCH_WIDTH};
@@ -30,10 +28,6 @@ fn main() {
         .nth(3)
         .and_then(|s| s.parse().ok())
         .unwrap_or(200.0);
-    let solver_threads: usize = std::env::args()
-        .nth(4)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
     let mut cfgs = Vec::new();
     for bench in ALL_BENCHMARKS {
         for core in 0..7 {
@@ -45,7 +39,6 @@ fn main() {
             c.max_time_s = 1e-3;
             c.warmup = Warmup::Cold;
             c.target_core = core;
-            c.solver_threads = solver_threads;
             cfgs.push(c);
         }
     }
@@ -62,23 +55,9 @@ fn main() {
                 .and_then(|l| l.split_whitespace().nth(1)?.parse::<u64>().ok())
         })
         .unwrap_or(0);
-    // Triangular-sweep accounting (telemetry builds only; the span exists
-    // only when the direct solver engages rather than falling back to CG).
-    #[cfg(feature = "telemetry")]
-    let (tri_sweep_s, tri_sweep_calls) = {
-        let snap = hotgauge_telemetry::snapshot();
-        snap.spans
-            .iter()
-            .find(|s| s.label == "solver.tri_sweep")
-            .map(|s| (s.total_ns as f64 / 1e9, s.calls))
-            .unwrap_or((0.0, 0))
-    };
-    #[cfg(not(feature = "telemetry"))]
-    let (tri_sweep_s, tri_sweep_calls) = (0.0f64, 0u64);
     println!(
         "runs={total} hotspots={fired} threads={threads} batch={batch} cell_um={cell_um} \
-         solver_threads={solver_threads} wall_s={wall:.3} tri_sweep_s={tri_sweep_s:.4} \
-         tri_sweep_calls={tri_sweep_calls} peak_rss_kb={peak_rss_kb}"
+         wall_s={wall:.3} peak_rss_kb={peak_rss_kb}"
     );
     assert_eq!(rs.len(), total);
     // Telemetry builds dump a stage breakdown so the harness doubles as a

@@ -45,9 +45,11 @@ use crate::severity::SeverityParams;
 /// overhead. Coarse test grids (≲ 3 k cells) therefore always run serial.
 const MIN_SHARD_CELLS: usize = 8192;
 
-/// Execution strategy of the pipeline's analysis stage. Never changes any
-/// result — only how fast the per-substep hotspot analysis runs and whether
-/// metrics are recorded for provably hotspot-free substeps in TUH mode.
+/// Execution strategy of the pipeline's analysis stage: how fast the
+/// per-substep hotspot analysis runs, and whether metrics are recorded for
+/// provably hotspot-free substeps in TUH mode. The thread count never
+/// changes a result; the prefilter keeps the TUH exact but zeroes the MLTD,
+/// severity and hotspot count of the substeps it skips.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AnalysisConfig {
     /// Worker threads for the row-sharded analysis passes: `0` = one per

@@ -45,11 +45,6 @@ pub struct Fidelity {
     /// are solved up to this many at a time through the multi-RHS thermal
     /// path (`1` disables batching; results are identical at every width).
     pub batch: usize,
-    /// Shard width for the level-scheduled triangular sweeps of the direct
-    /// (skyline Cholesky) thermal solver: `0` = one per hardware thread,
-    /// `1` (the default) = serial sweeps. Results are bit-identical at
-    /// every setting; see DESIGN.md "Threading model".
-    pub solver_threads: usize,
 }
 
 impl Fidelity {
@@ -65,7 +60,6 @@ impl Fidelity {
                 .map(|n| n.get())
                 .unwrap_or(4),
             batch: crate::sweep::DEFAULT_BATCH_WIDTH,
-            solver_threads: 1,
         }
     }
 
@@ -139,7 +133,6 @@ impl Fidelity {
         cfg.sample_instrs = self.sample_instrs;
         cfg.max_time_s = self.max_time_s;
         cfg.analysis.threads = self.threads;
-        cfg.solver_threads = self.solver_threads;
         cfg
     }
 }
@@ -742,7 +735,6 @@ mod tests {
             max_time_s: 1.5e-3,
             threads: 4,
             batch: crate::sweep::DEFAULT_BATCH_WIDTH,
-            solver_threads: 1,
         }
     }
 

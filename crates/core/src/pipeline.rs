@@ -78,9 +78,9 @@ pub struct SimConfig {
     pub border_mm: f64,
     /// Thermal substeps per 1 M-cycle window (4 ⇒ 50 µs TUH resolution).
     pub substeps: usize,
-    /// Linear solver for the backward-Euler steps. `DirectCholesky` factors
-    /// once per run and falls back to CG when the matrix is too large for
-    /// the factorization budget.
+    /// Selects nothing: warm-started CG is the only thermal solver. Still
+    /// serialized because every result key hashes the whole config, so
+    /// dropping it would change every key.
     pub solver: SolverStrategy,
     /// Instructions sampled by the interval core per window; the sampled
     /// rates represent the whole window (Sniper-style sampling).
@@ -111,13 +111,15 @@ pub struct SimConfig {
     /// (Fig. 2).
     pub delta_histogram: Option<HistSpec>,
     /// Execution strategy of the per-substep analysis stage (row sharding,
-    /// sub-threshold prefilter). Never changes any result — only how fast it
-    /// is computed.
+    /// sub-threshold prefilter). The thread count never changes a result.
+    /// The prefilter keeps the TUH, census and thermal trajectory exact but
+    /// does change records: in `stop_at_first_hotspot` runs without tracked
+    /// units it writes zeros for MLTD, severity and hotspot count on
+    /// substeps whose frame max is below `T_th`.
     pub analysis: AnalysisConfig,
-    /// Thread budget for the direct solver's level-scheduled triangular
-    /// sweeps (`0` = one per hardware thread, `1` = serial). Like
-    /// `analysis`, this never changes any result — the sweeps are
-    /// bit-identical at every budget (see DESIGN.md, "Threading model").
+    /// Selects nothing: no solver has a thread knob any more. Still
+    /// serialized because every result key hashes the whole config, so
+    /// dropping it would change every key.
     pub solver_threads: usize,
 }
 
@@ -446,7 +448,7 @@ pub(crate) fn stream_seed(cfg: &SimConfig) -> u64 {
 }
 
 /// The assembled co-simulation state. `Clone` so construction (floorplan,
-/// power model, warm-up, solver factorization) can be paid once and the
+/// power model, warm-up, solver preparation) can be paid once and the
 /// stepping loop repeated from the same initial state — benches and sweeps
 /// over per-run knobs rely on this. A clone reads the same activity trace
 /// from the same position, replaying the windows the original recorded.
@@ -561,11 +563,11 @@ impl CoSimulation {
         let idle_act = traces.open(TraceKey::idle_background(&cfg))?.next_window();
 
         // Thermal initial condition. A recycled solver keeps its prepared
-        // system (the backward-Euler matrix and Cholesky factor / CG
-        // workspace are functions of geometry + dt + strategy only, all part
-        // of the arena key) but is reset to the uniform ambient state a
-        // fresh `ThermalSim::new` starts from, so the warm-up below — and
-        // everything after it — sees exactly the fresh-construction state.
+        // system (the backward-Euler matrix and CG workspace are functions
+        // of geometry + dt only, both part of the arena key) but is reset
+        // to the uniform ambient state a fresh `ThermalSim::new` starts
+        // from, so the warm-up below — and everything after it — sees
+        // exactly the fresh-construction state.
         let mut thermal = match recycled_thermal {
             Some(mut t) => {
                 t.set_uniform(t.model().stack().ambient_c);
@@ -580,27 +582,21 @@ impl CoSimulation {
                 );
                 let model = ThermalModel::new(stack);
                 let ambient = model.stack().ambient_c;
-                let mut t = ThermalSim::new(model, ambient);
-                t.set_strategy(cfg.solver);
-                t
+                ThermalSim::new(model, ambient)
             }
         };
         // Backward-Euler steps are solved to a relative residual that is far
         // below per-step temperature changes; tighter tolerances cost CG
         // iterations without changing any metric.
         thermal.cg.tolerance = 1e-6;
-        // Applied to recycled solvers too: the sweep thread budget is a
-        // per-run knob, not part of the geometry key (it never changes
-        // results, so recycling across budgets is sound).
-        thermal.set_solver_threads(cfg.solver_threads);
         if cfg.warmup == Warmup::Idle {
             let state = warmup_state_cached(&cfg, &fp, &grid, &power, &thermal, &idle_act);
             thermal.set_state(state);
         }
         // Prepare the solver for the run's substep size now, so the one-time
-        // factorization cost lands in construction rather than the first
-        // step. A no-op on recycled solvers (same dt): the factor-once win
-        // the sweep arenas exist for.
+        // assembly cost lands in construction rather than the first step. A
+        // no-op on recycled solvers (same dt): the prepare-once win the
+        // sweep arenas exist for.
         thermal.prepare(cfg.window_seconds() / cfg.substeps as f64);
 
         Ok(Self {
@@ -646,14 +642,7 @@ impl CoSimulation {
         &self.thermal
     }
 
-    /// Mutable access to the thermal simulation, e.g. to tighten the CG
-    /// tolerance for solver cross-validation runs.
-    pub fn thermal_mut(&mut self) -> &mut ThermalSim {
-        &mut self.thermal
-    }
-
     fn idle_power_map(
-        cfg: &SimConfig,
         fp: &Floorplan,
         grid: &FloorplanGrid,
         power: &PowerModel,
@@ -669,7 +658,6 @@ impl CoSimulation {
             })
             .collect();
         let breakdown = power.evaluate(&cores, &temps);
-        let _ = cfg;
         // Idle power is dominated by clock + leakage; spread it uniformly.
         grid.power_map(&breakdown.unit_watts)
     }
@@ -706,9 +694,9 @@ impl CoSimulation {
 /// depends only on the floorplan/grid/solver shape of a [`SimConfig`], not
 /// on its workload or seed. A sweep worker hands these from a finished run
 /// to the next run with the same [`crate::sweep::geom_key`], skipping the
-/// floorplan build, the two rasterizations, the power-model assembly, and —
-/// the expensive part — the thermal-system preparation (Cholesky
-/// factorization / CG workspace).
+/// floorplan build, the two rasterizations, the power-model assembly, and
+/// the thermal-system preparation (backward-Euler matrix and CG
+/// workspace).
 pub(crate) struct GeomParts {
     pub(crate) fp: Floorplan,
     pub(crate) grid: FloorplanGrid,
@@ -730,7 +718,7 @@ pub(crate) struct GeomParts {
 /// [`CoSimulation::run`] on its own: the lanes share nothing but the thermal
 /// solve, and the lockstep solver applies each lane's arithmetic in the same
 /// element order as the single-RHS path. Lanes whose thermal systems turn
-/// out not to be homogeneous (different grids or solver states) fall back
+/// out not to be homogeneous (different grids or CG configs) fall back
 /// to per-lane solo steps inside [`step_lockstep`] — still exact, just
 /// without the memory-bandwidth win. The sweep executor groups compatible
 /// jobs by [`crate::sweep::geom_key`] so batches hit the fast path.
@@ -1330,7 +1318,7 @@ fn warmup_state_cached(
     if let Some(state) = cache.lock().get(&key) {
         return state.as_ref().clone();
     }
-    let idle_power = CoSimulation::idle_power_map(cfg, fp, grid, power, thermal, idle_act);
+    let idle_power = CoSimulation::idle_power_map(fp, grid, power, thermal, idle_act);
     let state = hotgauge_thermal::warmup::initial_state(
         thermal.model(),
         Warmup::Idle,
@@ -1463,59 +1451,6 @@ mod tests {
         let (e, counts) = r.delta_hist.expect("delta hist requested");
         assert_eq!(e.len(), 41);
         assert_eq!(counts.iter().sum::<usize>(), cells * r.records.len());
-    }
-
-    #[test]
-    fn default_direct_solver_falls_back_at_production_resolution() {
-        // The 300 µm test grid's RCM envelope is ~280 entries/row — far
-        // past the ~48/row crossover where two triangular sweeps stop
-        // beating warm-started CG — so the default DirectCholesky strategy
-        // must transparently prepare CG instead.
-        let cfg = quick_cfg();
-        assert_eq!(cfg.solver, SolverStrategy::DirectCholesky);
-        let sim = CoSimulation::new(cfg);
-        assert_eq!(sim.thermal().active_solver(), Some(SolverStrategy::Cg));
-    }
-
-    #[test]
-    fn direct_and_cg_cosim_fields_agree_to_microkelvin() {
-        // A coarse grid small enough to factor quickly in debug builds.
-        let mut cfg = quick_cfg();
-        cfg.cell_um = 400.0;
-        cfg.border_mm = 2.0;
-        cfg.max_time_s = 1e-3; // 5 windows
-        let dt = cfg.window_seconds() / cfg.substeps as f64;
-
-        let mut direct = CoSimulation::new(cfg.clone());
-        // Lift the profile budget so the direct path genuinely factors
-        // (the default crossover would fall back to CG here).
-        direct.thermal_mut().chol = hotgauge_thermal::chol::CholOptions::unbounded();
-        direct
-            .thermal_mut()
-            .set_strategy(SolverStrategy::DirectCholesky);
-        direct.thermal_mut().prepare(dt);
-        assert_eq!(
-            direct.thermal().active_solver(),
-            Some(SolverStrategy::DirectCholesky)
-        );
-        let rd = direct.run();
-
-        cfg.solver = SolverStrategy::Cg;
-        let mut cg = CoSimulation::new(cfg);
-        // The production CG tolerance (1e-6 relative residual) leaves
-        // ~1e-4 °C of solver error; tighten it so this comparison measures
-        // the direct solver against a near-exact reference.
-        cg.thermal_mut().cg.tolerance = 1e-12;
-        let rc = cg.run();
-
-        assert_eq!(rd.records.len(), rc.records.len());
-        for (a, b) in rd.final_frame.temps.iter().zip(&rc.final_frame.temps) {
-            assert!((a - b).abs() < 1e-6, "direct {a} vs cg {b}");
-        }
-        for (a, b) in rd.records.iter().zip(&rc.records) {
-            assert!((a.max_temp_c - b.max_temp_c).abs() < 1e-6);
-            assert!((a.mean_temp_c - b.mean_temp_c).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! of workers pulling jobs from a chunked injector deque, stealing from
 //! each other when their share runs dry — and gives each worker a
 //! [`SweepArena`]: a small cache of geometry-keyed model parts (floorplan,
-//! rasterized grids, power model, prepared thermal solver with its Cholesky
-//! factor / CG workspace) plus one reusable [`FrameAnalyzer`]. Repeated
-//! same-geometry runs — the common case in every figure sweep — then skip
-//! model assembly and the per-`Δt` solver preparation entirely and allocate
-//! near-zero.
+//! rasterized grids, power model, prepared thermal solver with its
+//! backward-Euler matrix and CG workspace) plus one reusable
+//! [`FrameAnalyzer`]. Repeated same-geometry runs — the common case in every
+//! figure sweep — then skip model assembly and the per-`Δt` solver
+//! preparation entirely and allocate near-zero.
 //!
 //! On top of the pool sits the **lockstep batch engine**: jobs sharing a
 //! [`geom_key`] are grouped (first-seen key order) and chunked into batches
@@ -134,12 +134,11 @@ impl std::fmt::Debug for SweepArena {
 pub(crate) fn geom_key(cfg: &SimConfig) -> String {
     use std::fmt::Write;
     let mut key = format!(
-        "{:?}|{}|{}|{}|{}|{}",
+        "{:?}|{}|{}|{}|{}",
         cfg.node,
         cfg.cell_um.to_bits(),
         cfg.border_mm.to_bits(),
         cfg.substeps,
-        cfg.solver,
         cfg.ic_area_factor.to_bits(),
     );
     for (kind, factor) in &cfg.unit_scales {

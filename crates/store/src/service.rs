@@ -39,7 +39,7 @@ const CORES: usize = 7;
 /// Every field except `benchmark` is optional and defaults to the
 /// service's base configuration (N7, core 0, idle warmup, fidelity-preset
 /// horizon).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct SweepRequest {
     /// Benchmark name (SPEC2006 proxy, server workload, or `"idle"`).
     pub benchmark: String,
@@ -57,6 +57,49 @@ pub struct SweepRequest {
     pub ic_area: Option<f64>,
     /// Stop at the first hotspot (TUH studies); default false.
     pub stop_at_first_hotspot: Option<bool>,
+}
+
+/// The keys a request line may carry: the fields of [`SweepRequest`].
+const REQUEST_FIELDS: [&str; 8] = [
+    "benchmark",
+    "node",
+    "core",
+    "seed",
+    "cold",
+    "ms",
+    "ic_area",
+    "stop_at_first_hotspot",
+];
+
+/// The derived parser with one addition: a key that is not a field is an
+/// error naming it. The derive alone would drop it and serve the default
+/// config in its place.
+impl Deserialize for SweepRequest {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        const TY: &str = "SweepRequest";
+        let map = v
+            .as_map()
+            .ok_or_else(|| serde::Error::custom("expected object for SweepRequest"))?;
+        if let Some((key, _)) = map
+            .iter()
+            .find(|(key, _)| !REQUEST_FIELDS.contains(&key.as_str()))
+        {
+            return Err(serde::Error::custom(format!(
+                "unknown field `{key}` (expected one of {})",
+                REQUEST_FIELDS.join(", ")
+            )));
+        }
+        Ok(SweepRequest {
+            benchmark: serde::field(map, "benchmark", TY)?,
+            node: serde::field(map, "node", TY)?,
+            core: serde::field(map, "core", TY)?,
+            seed: serde::field(map, "seed", TY)?,
+            cold: serde::field(map, "cold", TY)?,
+            ms: serde::field(map, "ms", TY)?,
+            ic_area: serde::field(map, "ic_area", TY)?,
+            stop_at_first_hotspot: serde::field(map, "stop_at_first_hotspot", TY)?,
+        })
+    }
 }
 
 /// One result line: a completed run's summary, tagged with its content
@@ -393,6 +436,40 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert_eq!(text.lines().count(), 1);
         assert!(text.contains("\"error\"") && text.contains("exceeds the budget"));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn request_fields_are_the_sweep_request_fields() {
+        let serde::Value::Map(entries) = serde_json::to_value(&SweepRequest::default()) else {
+            panic!("a request serializes to a map");
+        };
+        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, REQUEST_FIELDS);
+    }
+
+    #[test]
+    fn unknown_request_fields_are_answered_with_error_rows() {
+        let root = std::env::temp_dir().join(format!(
+            "hotgauge-service-{}-unknown-fields",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut store = ResultStore::open(&root).unwrap();
+        let opts = ServeOptions::from_fidelity(Fidelity::smoke());
+        let input = "{\"benchmark\":\"gcc\",\"cell_um\":-3}\n\
+                     {\"benchmark\":\"gcc\",\"cell\":0}\n\
+                     {\"benchmark\":\"gcc\",\"ms\":0.2}\n";
+        let mut out = Vec::new();
+        let summary = serve(input.as_bytes(), &mut out, &mut store, &opts, None).unwrap();
+        assert_eq!((summary.batches, summary.rows, summary.rejected), (1, 1, 2));
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0].contains("\"error\"") && lines[0].contains("unknown field `cell_um`"));
+        assert!(lines[1].contains("\"error\"") && lines[1].contains("unknown field `cell`"));
+        let row: SweepRow = serde_json::from_str(lines[2]).unwrap();
+        assert_eq!((row.benchmark.as_str(), row.seq, row.total), ("gcc", 1, 1));
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -1,9 +1,8 @@
 //! Minimal sparse linear algebra: CSR matrices built from triplets.
 //!
 //! The thermal RC network produces symmetric positive-definite systems with
-//! ~7 nonzeros per row; CSR plus either conjugate gradients
-//! (see [`crate::solver`]) or a factor-once direct solver
-//! (see [`crate::chol`]) is all that is needed.
+//! ~7 nonzeros per row; CSR plus conjugate gradients (see [`crate::solver`])
+//! is all that is needed.
 //!
 //! The matrix-vector kernels shard across `std::thread::scope` row chunks
 //! once a matrix is large enough to amortize thread spawning; below

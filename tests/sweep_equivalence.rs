@@ -31,6 +31,7 @@ use hotgauge_store::{
     run_many_keyed_with, run_many_stored_with, serve, DeltaBasis, ResultStore, RunSource,
     ServeOptions, SweepRow, ROW_SCHEMA_VERSION,
 };
+use hotgauge_thermal::model::SolverStrategy;
 use hotgauge_thermal::warmup::Warmup;
 use serde::Value;
 
@@ -87,10 +88,6 @@ fn cfg_from_entropy(bits: u64) -> SimConfig {
         threads: 2,
         prefilter: true,
     };
-    // Triangular-sweep shard budget: results are bit-identical at every
-    // setting, so the differential references below stay valid whichever
-    // value a case draws (0 = auto).
-    c.solver_threads = [1, 0, 2, 4][((bits >> 17) % 4) as usize];
     c
 }
 
@@ -150,24 +147,36 @@ proptest! {
         }
     }
 
-    // The solver-threads differential: the level-scheduled triangular
-    // sweeps (and their CG-fallback bypass) must leave every run bitwise
-    // unchanged at any shard budget, serial reference at 1.
+    // `solver` and `solver_threads` are inert: still serialized into the
+    // result key, but no value of either changes a run, whether it runs
+    // alone or batched with configs that differ only in these fields.
     #[test]
-    fn solver_threads_never_change_results(
+    fn solver_fields_never_change_results(
         entropy in prop::collection::vec(0u64..u64::MAX, 1..3),
     ) {
         let _g = lock();
         for bits in entropy {
-            let mut cfg = cfg_from_entropy(bits);
-            cfg.solver_threads = 1;
+            let cfg = cfg_from_entropy(bits);
             let want = run_sim(cfg.clone());
-            for threads in [0usize, 2, 4] {
+            let variants: Vec<SimConfig> = [
+                (SolverStrategy::DirectCholesky, 0usize),
+                (SolverStrategy::DirectCholesky, 4),
+                (SolverStrategy::Cg, 1),
+                (SolverStrategy::Cg, 2),
+            ]
+            .into_iter()
+            .map(|(solver, threads)| {
                 let mut c = cfg.clone();
+                c.solver = solver;
                 c.solver_threads = threads;
-                let got = run_sim(c);
-                // The config JSON differs only in the knob itself; compare
-                // the physics outputs bit-for-bit.
+                c
+            })
+            .collect();
+            let solo: Vec<RunResult> = variants.iter().cloned().map(run_sim).collect();
+            let batched = run_many_batched_with(variants, 1, 8, None);
+            for got in solo.iter().chain(&batched) {
+                // The config JSON differs only in the fields themselves;
+                // compare the physics outputs bit-for-bit.
                 prop_assert_eq!(&got.records, &want.records);
                 prop_assert_eq!(got.tuh_s, want.tuh_s);
                 prop_assert_eq!(&got.final_frame, &want.final_frame);
@@ -277,7 +286,6 @@ fn serve_streams_schema_tagged_ndjson_rows() {
         max_time_s: 5e-4,
         threads: 2,
         batch: 8,
-        solver_threads: 2,
     };
     let opts = ServeOptions::from_fidelity(fid);
     let root = scratch("serve");
